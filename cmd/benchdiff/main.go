@@ -18,10 +18,11 @@
 //
 // gate enforces absolute per-benchmark budgets from a committed policy
 // file instead of diffing against a baseline: each entry names a hard
-// ns/op and/or allocs/op ceiling, and a policy benchmark missing from the
-// snapshot is itself a failure. Unlike compare, gate has no soft mode —
-// the budgets are chosen loose enough (latency) or exact (zero-alloc
-// guarantees, which shared-runner noise cannot perturb) to hard-fail CI.
+// ns/op, B/op and/or allocs/op ceiling, and a policy benchmark missing
+// from the snapshot is itself a failure. Unlike compare, gate has no soft
+// mode — the budgets are chosen loose enough (latency, memory volume) or
+// exact (zero-alloc guarantees, which shared-runner noise cannot perturb)
+// to hard-fail CI.
 //
 // With -hotpath-src, gate additionally ties the dynamic zero-alloc
 // budgets to the static allocfree proof: each policy entry may list the
@@ -299,10 +300,12 @@ func runCompare(args []string, out io.Writer) (int, error) {
 }
 
 // Limit is one benchmark's absolute budget in a gate policy. Nil fields are
-// unconstrained; MaxAllocsPerOp additionally requires -benchmem columns in
-// the gated snapshot (a zero without them is meaningless).
+// unconstrained; MaxBytesPerOp and MaxAllocsPerOp additionally require
+// -benchmem columns in the gated snapshot (a zero without them is
+// meaningless).
 type Limit struct {
 	MaxNsPerOp     *float64 `json:"max_ns_per_op,omitempty"`
+	MaxBytesPerOp  *float64 `json:"max_bytes_per_op,omitempty"`
 	MaxAllocsPerOp *float64 `json:"max_allocs_per_op,omitempty"`
 	// Hotpath names the //netpart:hotpath functions this benchmark's
 	// zero-alloc ceiling dynamically verifies (anchor form
@@ -327,6 +330,21 @@ func gate(policy Policy, snap Snapshot, annotated map[string]bool) (lines []stri
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// ceiling records one budget's verdict; have reports whether the
+	// snapshot carries the measured column at all.
+	ceiling := func(name, unit string, have bool, got float64, budget *float64) {
+		switch {
+		case budget == nil:
+		case !have:
+			lines = append(lines, fmt.Sprintf("FAIL %s: %s budget set but snapshot lacks -benchmem columns", name, unit))
+			violations++
+		case got > *budget:
+			lines = append(lines, fmt.Sprintf("FAIL %s: %.4g %s exceeds budget %.4g", name, got, unit, *budget))
+			violations++
+		default:
+			lines = append(lines, fmt.Sprintf("ok   %s: %.4g %s within budget %.4g", name, got, unit, *budget))
+		}
+	}
 	for _, name := range names {
 		lim := policy[name]
 		m, ok := snap[name]
@@ -335,26 +353,9 @@ func gate(policy Policy, snap Snapshot, annotated map[string]bool) (lines []stri
 			violations++
 			continue
 		}
-		if lim.MaxNsPerOp != nil {
-			if m.NsPerOp > *lim.MaxNsPerOp {
-				lines = append(lines, fmt.Sprintf("FAIL %s: %.4g ns/op exceeds budget %.4g", name, m.NsPerOp, *lim.MaxNsPerOp))
-				violations++
-			} else {
-				lines = append(lines, fmt.Sprintf("ok   %s: %.4g ns/op within budget %.4g", name, m.NsPerOp, *lim.MaxNsPerOp))
-			}
-		}
-		if lim.MaxAllocsPerOp != nil {
-			switch {
-			case !m.HaveMem:
-				lines = append(lines, fmt.Sprintf("FAIL %s: allocs/op budget set but snapshot lacks -benchmem columns", name))
-				violations++
-			case m.AllocsPerOp > *lim.MaxAllocsPerOp:
-				lines = append(lines, fmt.Sprintf("FAIL %s: %.4g allocs/op exceeds budget %.4g", name, m.AllocsPerOp, *lim.MaxAllocsPerOp))
-				violations++
-			default:
-				lines = append(lines, fmt.Sprintf("ok   %s: %.4g allocs/op within budget %.4g", name, m.AllocsPerOp, *lim.MaxAllocsPerOp))
-			}
-		}
+		ceiling(name, "ns/op", true, m.NsPerOp, lim.MaxNsPerOp)
+		ceiling(name, "B/op", m.HaveMem, m.BytesPerOp, lim.MaxBytesPerOp)
+		ceiling(name, "allocs/op", m.HaveMem, m.AllocsPerOp, lim.MaxAllocsPerOp)
 		if annotated == nil {
 			continue
 		}

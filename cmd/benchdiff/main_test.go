@@ -227,6 +227,33 @@ func TestGateAllocRegression(t *testing.T) {
 	}
 }
 
+// TestGateBytesCeiling pins the max_bytes_per_op budget: a snapshot over
+// the ceiling fails the gate, one at or under it passes, and a bytes
+// budget without -benchmem columns is a violation like an allocs budget.
+func TestGateBytesCeiling(t *testing.T) {
+	policy := Policy{"p/BenchmarkTable": {MaxBytesPerOp: f64(2e6), MaxAllocsPerOp: f64(40000)}}
+	for _, tc := range []struct {
+		name string
+		m    Metrics
+		want int
+	}{
+		{"within", Metrics{NsPerOp: 1e7, BytesPerOp: 1.2e6, AllocsPerOp: 27000, HaveMem: true}, 0},
+		{"at ceiling", Metrics{NsPerOp: 1e7, BytesPerOp: 2e6, AllocsPerOp: 27000, HaveMem: true}, 0},
+		{"over bytes", Metrics{NsPerOp: 1e7, BytesPerOp: 1.0e9, AllocsPerOp: 27000, HaveMem: true}, 1},
+		{"over both", Metrics{NsPerOp: 1e7, BytesPerOp: 1.0e9, AllocsPerOp: 41000, HaveMem: true}, 2},
+		{"no benchmem", Metrics{NsPerOp: 1e7}, 2},
+	} {
+		lines, violations := gate(policy, Snapshot{"p/BenchmarkTable": tc.m}, nil)
+		joined := strings.Join(lines, "\n")
+		if violations != tc.want {
+			t.Errorf("%s: %d violations, want %d:\n%s", tc.name, violations, tc.want, joined)
+		}
+		if tc.name == "over bytes" && !strings.Contains(joined, "FAIL p/BenchmarkTable: 1e+09 B/op exceeds budget 2e+06") {
+			t.Errorf("over-ceiling verdict malformed:\n%s", joined)
+		}
+	}
+}
+
 func TestRunGateExitCode(t *testing.T) {
 	dir := t.TempDir()
 	writeJSON := func(name string, v any) string {

@@ -30,6 +30,10 @@ type AdaptiveResult struct {
 
 // Adaptive compares a static Eq. 3 partition against periodic dynamic
 // repartitioning when one processor picks up external load mid-run.
+// Unlike Table2 and Fig3, which need only elapsed times and use
+// stencil.SimElapsed, it runs the numeric simulator: its Exact field
+// reports that both runs' grids, rows migrated and all, are bit-identical
+// to the sequential kernel, and that check needs the grids.
 func Adaptive(e *Env, n, iters int) (*AdaptiveResult, error) {
 	cfg := PaperConfig(4, 0)
 	vec, err := core.Decompose(e.Net, cfg, n, model.OpFloat)
@@ -326,7 +330,7 @@ func ImplSelect(e *Env) ([]ImplSelectRow, error) {
 		if err != nil {
 			return err
 		}
-		r1, err := stencil.RunSim(env.Net, oneD.Config, vec, stencil.STEN1, n, Iterations)
+		row.OneDSimMs, err = stencil.SimElapsed(env.Net, oneD.Config, vec, stencil.STEN1, n, Iterations)
 		if err != nil {
 			return err
 		}
@@ -334,7 +338,7 @@ func ImplSelect(e *Env) ([]ImplSelectRow, error) {
 		if err != nil {
 			return err
 		}
-		row.OneDSimMs, row.TwoDSimMs = r1.ElapsedMs, r2.ElapsedMs
+		row.TwoDSimMs = r2.ElapsedMs
 		row.Winner = "1-D"
 		if row.TwoDTcMs < row.OneDTcMs {
 			row.Winner = "2-D"
@@ -471,11 +475,7 @@ func SelectionCost(e *Env, n int) (*SelectionCostResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := stencil.RunSim(env.Net, cfg, vec, stencil.STEN2, n, iters)
-		if err != nil {
-			return 0, err
-		}
-		return res.ElapsedMs, nil
+		return stencil.SimElapsed(env.Net, cfg, vec, stencil.STEN2, n, iters)
 	}
 	var candidates []cost.Config
 	for _, c := range Table2Configs {
@@ -603,16 +603,7 @@ func noiseLevel(e *Env, jitter float64) (NoiseRow, error) {
 		if err != nil {
 			return 0, err
 		}
-		names, counts := cfg.Active()
-		pl, err := topo.Contiguous(names, counts)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := runStencilNoisy(e.Net, pl, vec, n, jitter, seed)
-		if err != nil {
-			return 0, err
-		}
-		return rep, nil
+		return runStencilNoisy(e.Net, cfg, vec, n, jitter, seed)
 	}
 	var min trace.MinTracker
 	for i, c := range Table2Configs {
@@ -632,12 +623,12 @@ func noiseLevel(e *Env, jitter float64) (NoiseRow, error) {
 }
 
 // runStencilNoisy executes STEN-2 with jittered channel holds.
-func runStencilNoisy(net *model.Network, pl topo.Placement, vec core.Vector, n int, jitter float64, seed uint64) (float64, error) {
+func runStencilNoisy(net *model.Network, cfg cost.Config, vec core.Vector, n int, jitter float64, seed uint64) (float64, error) {
 	var opts []simnet.Option
 	if jitter > 0 {
 		opts = append(opts, simnet.WithJitter(jitter, seed))
 	}
-	return stencil.RunSimNoisy(net, pl, vec, stencil.STEN2, n, Iterations, opts...)
+	return stencil.SimElapsed(net, cfg, vec, stencil.STEN2, n, Iterations, opts...)
 }
 
 // RenderNoise prints the E15 table.

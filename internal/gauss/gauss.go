@@ -232,12 +232,20 @@ func boolToInt(b bool) int {
 // configuration and partition vector, using the contiguous block
 // assignment. Rank 0 acts as the broadcast root (the paper's task
 // placement puts it on the fastest cluster).
+//
+// Like RunSimCyclic and RunSimAssigned, this keeps its numerics: there is
+// no schedule-only mode as there is for the stencil (stencil.SimElapsed),
+// because the simulated run depends on the matrix values. Each step's
+// pivot is chosen from the rows' values, and a vanishing pivot ends every
+// task early with ErrSingular, so the number of elimination rounds — and
+// with it every charge and broadcast — is known only by computing them.
 func RunSim(net *model.Network, cfg cost.Config, vec core.Vector, s System) (SimResult, error) {
 	return RunSimAssigned(net, cfg, vec, ContiguousAssignment(vec), s)
 }
 
 // RunSimCyclic solves with the block-cyclic row assignment, which keeps
-// every task busy through the late elimination stages.
+// every task busy through the late elimination stages. It runs the
+// numerics for the reason RunSim gives.
 func RunSimCyclic(net *model.Network, cfg cost.Config, vec core.Vector, blocks int, s System) (SimResult, error) {
 	return RunSimAssigned(net, cfg, vec, CyclicAssignment(vec, blocks), s)
 }
@@ -245,7 +253,7 @@ func RunSimCyclic(net *model.Network, cfg cost.Config, vec core.Vector, blocks i
 // RunSimAssigned solves with an explicit row-ownership assignment:
 // assignment[rank] lists the global rows rank owns, ascending. Any
 // assignment covering each row exactly once yields a result bit-identical
-// to Sequential.
+// to Sequential. It runs the numerics for the reason RunSim gives.
 func RunSimAssigned(net *model.Network, cfg cost.Config, vec core.Vector, assignment [][]int, s System) (SimResult, error) {
 	n := len(s.A)
 	if vec.Sum() != n {

@@ -330,6 +330,13 @@ type SimResult struct {
 // ranges per the partition vector, exchange border-cell ghosts before each
 // force step and emigrants after each move, and the final particle set is
 // bit-exact with Sequential.
+//
+// Unlike the stencil (stencil.SimElapsed), this simulation has no
+// schedule-only mode: its simulated time depends on the particle values.
+// Each step charges the pair interactions actually computed and each ghost
+// or emigrant message is sized by the particles it carries, so as particles
+// move, the per-cell weights and the message sizes move with them. Timing
+// without the numerics would be wrong.
 func RunSim(net *model.Network, cfg cost.Config, vec core.Vector, s System, steps int) (SimResult, error) {
 	if vec.Sum() != s.Cells {
 		return SimResult{}, fmt.Errorf("particles: vector sums to %d, want %d cells", vec.Sum(), s.Cells)

@@ -11,7 +11,6 @@ import (
 	"netpart/internal/repart"
 	"netpart/internal/simnet"
 	"netpart/internal/spmd"
-	"netpart/internal/topo"
 )
 
 // AdaptiveOptions configures RunSimAdaptive, the paper's §7 future-work
@@ -67,16 +66,9 @@ type AdaptiveResult struct {
 // before continuing. The final grid remains bit-exact with the sequential
 // reference regardless of how rows move.
 func RunSimAdaptive(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int, opts AdaptiveOptions) (AdaptiveResult, error) {
-	if vec.Sum() != n {
-		return AdaptiveResult{}, fmt.Errorf("stencil: vector sums to %d, want N=%d rows", vec.Sum(), n)
-	}
-	names, counts := cfg.Active()
-	pl, err := topo.Contiguous(names, counts)
+	job, err := simJob(net, cfg, vec, n)
 	if err != nil {
 		return AdaptiveResult{}, err
-	}
-	if pl.NumTasks() != len(vec) {
-		return AdaptiveResult{}, fmt.Errorf("stencil: configuration and vector disagree on task count")
 	}
 	initial := NewGrid(n)
 	res := newResultGrid(n)
@@ -87,17 +79,9 @@ func RunSimAdaptive(net *model.Network, cfg cost.Config, vec core.Vector, v Vari
 		Trace:    opts.Trace,
 		Observer: opts.Observer,
 	}
-	job := spmd.Job{
-		Net:        net,
-		Placement:  pl,
-		Vector:     vec,
-		Topology:   topo.OneD{},
-		Metrics:    opts.Metrics,
-		Trace:      opts.Trace,
-		SimOptions: opts.SimOptions,
-		Body: func(t *spmd.Task) {
-			runAdaptiveTask(t, eng, initial, res, v, n, iters, opts, &out)
-		},
+	job.Metrics, job.Trace, job.SimOptions = opts.Metrics, opts.Trace, opts.SimOptions
+	job.Body = func(t *spmd.Task) {
+		runAdaptiveTask(t, eng, initial, res, v, n, iters, opts, &out)
 	}
 	rep, err := spmd.Run(job)
 	if err != nil {

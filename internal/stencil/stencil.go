@@ -6,7 +6,8 @@
 //
 // The same numerical kernel backs the sequential reference and the
 // distributed variants, so distributed runs can be verified bit-exactly
-// against the reference.
+// against the reference. SimElapsed runs the simulated schedule without
+// the numerics, for callers that need only the elapsed time.
 package stencil
 
 import (
@@ -81,37 +82,44 @@ func Annotations(n int, v Variant, iters int) *core.Annotations {
 // time — the quantity the paper's Table 2 timings exclude and its
 // amortization argument bounds.
 func ScatterSim(net *model.Network, cfg cost.Config, vec core.Vector, n int) (float64, error) {
-	if vec.Sum() != n {
-		return 0, fmt.Errorf("stencil: vector sums to %d, want %d", vec.Sum(), n)
-	}
-	names, counts := cfg.Active()
-	pl, err := topo.Contiguous(names, counts)
+	job, err := simJob(net, cfg, vec, n)
 	if err != nil {
 		return 0, err
 	}
-	if pl.NumTasks() != len(vec) {
-		return 0, errors.New("stencil: configuration and vector disagree on task count")
-	}
-	job := spmd.Job{
-		Net:       net,
-		Placement: pl,
-		Vector:    vec,
-		Topology:  topo.OneD{},
-		Body: func(t *spmd.Task) {
-			if t.Rank() == 0 {
-				for dst := 1; dst < t.NumTasks(); dst++ {
-					t.Send(dst, BytesPerPoint*n*vec[dst], nil)
-				}
-				return
+	job.Body = func(t *spmd.Task) {
+		if t.Rank() == 0 {
+			for dst := 1; dst < t.NumTasks(); dst++ {
+				t.Send(dst, BytesPerPoint*n*vec[dst], nil)
 			}
-			t.Recv(0)
-		},
+			return
+		}
+		t.Recv(0)
 	}
 	rep, err := spmd.Run(job)
 	if err != nil {
 		return 0, err
 	}
 	return rep.ElapsedMs, nil
+}
+
+// simJob validates a partition vector against the problem size and the
+// configuration and returns the simulated job skeleton every stencil run
+// shares: one task per processor of cfg (contiguous 1-D placement,
+// fastest cluster first), rows assigned by vec. Callers add the body and
+// any observability.
+func simJob(net *model.Network, cfg cost.Config, vec core.Vector, n int) (spmd.Job, error) {
+	if vec.Sum() != n {
+		return spmd.Job{}, fmt.Errorf("stencil: vector sums to %d, want N=%d rows", vec.Sum(), n)
+	}
+	names, counts := cfg.Active()
+	pl, err := topo.Contiguous(names, counts)
+	if err != nil {
+		return spmd.Job{}, err
+	}
+	if pl.NumTasks() != len(vec) {
+		return spmd.Job{}, errors.New("stencil: configuration and vector disagree on task count")
+	}
+	return spmd.Job{Net: net, Placement: pl, Vector: vec, Topology: topo.OneD{}}, nil
 }
 
 // NewGrid returns the deterministic N×N initial condition used throughout
@@ -186,30 +194,15 @@ func RunSimObserved(net *model.Network, cfg cost.Config, vec core.Vector, v Vari
 // in virtual-time milliseconds as it completes — the hookup point for the
 // drift monitor (internal/obs/drift).
 func RunSimMonitored(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int, m *obs.Registry, rec *obs.Recorder, sink obs.CycleSink) (SimResult, error) {
-	if vec.Sum() != n {
-		return SimResult{}, fmt.Errorf("stencil: vector sums to %d, want N=%d rows", vec.Sum(), n)
-	}
-	names, counts := cfg.Active()
-	pl, err := topo.Contiguous(names, counts)
+	job, err := simJob(net, cfg, vec, n)
 	if err != nil {
 		return SimResult{}, err
 	}
-	if pl.NumTasks() != len(vec) {
-		return SimResult{}, errors.New("stencil: configuration and vector disagree on task count")
-	}
 	initial := NewGrid(n)
 	res := newResultGrid(n)
-	job := spmd.Job{
-		Net:       net,
-		Placement: pl,
-		Vector:    vec,
-		Topology:  topo.OneD{},
-		Metrics:   m,
-		Trace:     rec,
-		Cycles:    sink,
-		Body: func(t *spmd.Task) {
-			runTask(t, initial, res, v, n, iters)
-		},
+	job.Metrics, job.Trace, job.Cycles = m, rec, sink
+	job.Body = func(t *spmd.Task) {
+		runTask(t, initial, res, v, n, iters)
 	}
 	rep, err := spmd.Run(job)
 	if err != nil {
@@ -223,27 +216,23 @@ func RunSimMonitored(net *model.Network, cfg cost.Config, vec core.Vector, v Var
 	return SimResult{ElapsedMs: rep.ElapsedMs, Grid: res.rows, Report: rep}, nil
 }
 
-// RunSimNoisy is RunSim with explicit placement and simulator options
-// (e.g. simnet.WithJitter), returning only the elapsed time. It skips the
-// result-grid assembly used by RunSim's verification path.
-func RunSimNoisy(net *model.Network, pl topo.Placement, vec core.Vector, v Variant, n, iters int, opts ...simnet.Option) (float64, error) {
-	if vec.Sum() != n {
-		return 0, fmt.Errorf("stencil: vector sums to %d, want N=%d rows", vec.Sum(), n)
+// SimElapsed runs the distributed stencil's schedule only and returns the
+// elapsed virtual time. Simulated time depends on the schedule alone —
+// rowOps(g, n) operations per row and BytesPerPoint·n bytes per border
+// message — never on grid values, so the run charges the same compute
+// batches, sends the same message sizes (without payloads), receives and
+// ends cycles in the same order as RunSim, and its elapsed time equals
+// RunSim's bit for bit, without allocating or updating a grid. opts
+// configure the simulator (e.g. simnet.WithJitter). Use RunSim when the
+// grid itself is wanted.
+func SimElapsed(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int, opts ...simnet.Option) (float64, error) {
+	job, err := simJob(net, cfg, vec, n)
+	if err != nil {
+		return 0, err
 	}
-	if pl.NumTasks() != len(vec) {
-		return 0, errors.New("stencil: placement and vector disagree on task count")
-	}
-	initial := NewGrid(n)
-	res := newResultGrid(n)
-	job := spmd.Job{
-		Net:        net,
-		Placement:  pl,
-		Vector:     vec,
-		Topology:   topo.OneD{},
-		SimOptions: opts,
-		Body: func(t *spmd.Task) {
-			runTask(t, initial, res, v, n, iters)
-		},
+	job.SimOptions = opts
+	job.Body = func(t *spmd.Task) {
+		runTask(t, nil, nil, v, n, iters)
 	}
 	rep, err := spmd.Run(job)
 	if err != nil {
@@ -263,51 +252,75 @@ func rowOps(globalRow, n int) float64 {
 
 // runTask is the per-rank body shared by STEN-1 and STEN-2. The task owns
 // global rows [off, off+rows); cur/next are flat blocks with one ghost row
-// on each side at local indices 0 and rows+1.
+// on each side at local indices 0 and rows+1. With a nil initial grid the
+// task runs its schedule only (SimElapsed): every charge, send size,
+// receive and cycle boundary is the same, in the same order, but there are
+// no blocks, no row updates and no payloads, and res is not written.
 func runTask(t *spmd.Task, initial [][]float64, res *resultGrid, v Variant, n, iters int) {
 	rows := t.PDUs()
 	off := t.PDUOffset()
-	cur := newBlock(rows, n)
-	next := newBlock(rows, n)
-	for i := 0; i < rows; i++ {
-		copy(cur.row(i+1), initial[off+i])
+	numeric := initial != nil
+	var cur, next block
+	if numeric {
+		cur, next = newBlock(rows, n), newBlock(rows, n)
+		for i := 0; i < rows; i++ {
+			copy(cur.row(i+1), initial[off+i])
+		}
+		copy(next.cells, cur.cells)
 	}
-	copy(next.cells, cur.cells)
 	north, south := t.Rank()-1, t.Rank()+1
 	hasNorth, hasSouth := north >= 0, south < t.NumTasks()
 	msgBytes := BytesPerPoint * n
 
 	// computeRows updates local rows [lo, hi] (1-based local indices),
 	// batching the per-row virtual-time charges into one scheduler trip.
+	// The charges are made per row in row order even without numerics:
+	// the batch's accumulated time depends on the summation order.
 	computeRows := func(lo, hi int) {
 		cb := t.BeginCompute()
 		for li := lo; li <= hi; li++ {
 			g := off + li - 1 // global row
-			if g == 0 || g == n-1 {
-				copy(next.row(li), cur.row(li))
-			} else {
-				updateRow(next.row(li), cur.row(li), cur.row(li-1), cur.row(li+1))
+			if numeric {
+				if g == 0 || g == n-1 {
+					copy(next.row(li), cur.row(li))
+				} else {
+					updateRow(next.row(li), cur.row(li), cur.row(li-1), cur.row(li+1))
+				}
 			}
 			cb.Ops(rowOps(g, n), model.OpFloat)
 		}
 		cb.Done()
 	}
+	// sendRow sends local row li to dst. Payloads are copies: the sim
+	// delivers them at a later virtual time, after this task may have
+	// swapped and begun overwriting. The byte count is charged either way.
+	sendRow := func(dst, li int) {
+		var payload interface{}
+		if numeric {
+			payload = append([]float64(nil), cur.row(li)...)
+		}
+		t.Send(dst, msgBytes, payload)
+	}
+	recvRow := func(src, li int) {
+		payload := t.Recv(src)
+		if numeric {
+			copy(cur.row(li), payload.([]float64))
+		}
+	}
 	sendBorders := func() {
-		// Payloads are copies: the sim delivers them at a later virtual
-		// time, after this task may have swapped and begun overwriting.
 		if hasNorth {
-			t.Send(north, msgBytes, append([]float64(nil), cur.row(1)...))
+			sendRow(north, 1)
 		}
 		if hasSouth {
-			t.Send(south, msgBytes, append([]float64(nil), cur.row(rows)...))
+			sendRow(south, rows)
 		}
 	}
 	recvGhosts := func() {
 		if hasNorth {
-			copy(cur.row(0), t.Recv(north).([]float64))
+			recvRow(north, 0)
 		}
 		if hasSouth {
-			copy(cur.row(rows+1), t.Recv(south).([]float64))
+			recvRow(south, rows+1)
 		}
 	}
 
@@ -335,7 +348,9 @@ func runTask(t *spmd.Task, initial [][]float64, res *resultGrid, v Variant, n, i
 		cur, next = next, cur
 		t.EndCycle()
 	}
-	for i := 0; i < rows; i++ {
-		copy(res.take(off+i), cur.row(i+1))
+	if numeric {
+		for i := 0; i < rows; i++ {
+			copy(res.take(off+i), cur.row(i+1))
+		}
 	}
 }
