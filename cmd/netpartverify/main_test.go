@@ -63,10 +63,10 @@ func TestRealProtocolsProved(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
 	wantProtos := map[string]bool{
-		"stencil.runLiveTask":     false,
-		"repart.Engine.Round":     false,
-		"repart.Migrator.Migrate": false,
-		"stencil.ftTask.recover":  false,
+		"stencil.liveRank.haloCycles": false,
+		"repart.Engine.Round":         false,
+		"repart.Migrator.Migrate":     false,
+		"stencil.ftTask.recover":      false,
 	}
 	perP := map[string]map[int]map[string]bool{}
 	for _, r := range recs {

@@ -23,7 +23,9 @@ import (
 //     (rank%2 == phase) for odd/even-ordered exchanges;
 //   - closures (the sendBorders/recvGhosts idiom) and same-package helper
 //     functions that reach the transport are inlined at each call site with
-//     their arguments' symbolic values;
+//     their arguments' symbolic values — including a helper that reaches it
+//     only through a communicating closure passed as an argument (the
+//     stencil's shared rank cycle calling its exchange parameter);
 //   - `if err != nil { return err }` guards are pruned as abort paths, and
 //     any statement subtree that cannot reach a transport operation is
 //     skipped entirely;
@@ -465,7 +467,7 @@ func (ex *extractor) call(call *ast.CallExpr, env *symEnv) ([]protomc.Op, error)
 		}
 	}
 	fn := calleeFunc(ex.info, call)
-	if fn != nil && ex.funcHasComm(fn) {
+	if fn != nil && (ex.funcHasComm(fn) || ex.commClosureArg(call, env)) {
 		return ex.inlineFunc(fn, call, env)
 	}
 	if ex.hasComm(call, env) {
@@ -1096,13 +1098,27 @@ func (ex *extractor) hasComm(n ast.Node, env *symEnv) bool {
 				return true
 			}
 		}
-		if fn := calleeFunc(ex.info, call); fn != nil && ex.funcHasComm(fn) {
+		if fn := calleeFunc(ex.info, call); fn != nil && (ex.funcHasComm(fn) || ex.commClosureArg(call, env)) {
 			found = true
 			return false
 		}
 		return true
 	})
 	return found
+}
+
+// commClosureArg reports whether a call hands its callee a closure that
+// communicates: the callee then reaches the transport through its
+// function-typed parameter, which funcHasComm cannot see.
+func (ex *extractor) commClosureArg(call *ast.CallExpr, env *symEnv) bool {
+	for _, arg := range call.Args {
+		if obj := identObj(ex.info, arg); obj != nil {
+			if cv, ok := env.funcs[obj]; ok && ex.hasComm(cv.lit.Body, cv.env) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // funcHasComm reports whether a named function's body (transitively, over

@@ -87,10 +87,8 @@ func RunSimAdaptive(net *model.Network, cfg cost.Config, vec core.Vector, v Vari
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
-	for i, row := range res.rows {
-		if row == nil {
-			return AdaptiveResult{}, fmt.Errorf("stencil: row %d not produced", i)
-		}
+	if err := res.complete(); err != nil {
+		return AdaptiveResult{}, err
 	}
 	opts.Metrics.Counter("adaptive.rebalances").Add(int64(out.Rebalances))
 	opts.Metrics.Counter("adaptive.migrated_rows").Add(int64(out.MigratedRows))
@@ -122,12 +120,6 @@ func RunSimFaulty(net *model.Network, cfg cost.Config, vec core.Vector, v Varian
 	return RunSimAdaptive(net, cfg, vec, v, n, iters, opts)
 }
 
-// owners aliases the repart package's prefix-sum ownership index, the
-// shared vocabulary of every migration path.
-type owners = repart.Owners
-
-func newOwners(vec core.Vector) owners { return repart.NewOwners(vec) }
-
 // simLink adapts a virtual-time task handle to the repart protocol's
 // transport surface. Sends are charged at the encoded byte size.
 type simLink struct{ t *spmd.Task }
@@ -146,93 +138,26 @@ func (l simLink) Recv(src int) ([]byte, error) {
 	return buf, nil
 }
 
-// runAdaptiveTask is the per-rank body: the usual STEN-1/STEN-2 cycle with
-// injected slowdown, plus the repart engine's gather → plan → broadcast →
-// migrate round every R iterations.
+// runAdaptiveTask is the per-rank body: the shared cycle with injected
+// slowdown, plus the repart engine's gather → plan → broadcast → migrate
+// round every R iterations.
 func runAdaptiveTask(t *spmd.Task, eng *repart.Engine, initial [][]float64, res *resultGrid, v Variant, n, iters int, opts AdaptiveOptions, out *AdaptiveResult) {
-	rank, nTasks := t.Rank(), t.NumTasks()
-	rows := t.PDUs()
-	off := t.PDUOffset()
-
-	// Local state: flat blocks, data rows at local indices 1..rows with
-	// ghost rows 0 and rows+1.
-	cur, next := newBlock(rows, n), newBlock(rows, n)
-	for i := 0; i < rows; i++ {
-		copy(cur.row(i+1), initial[off+i])
-	}
-	copy(next.cells, cur.cells)
-
-	msgBytes := BytesPerPoint * n
-	windowComputeMs := 0.0
-	mig := repart.Migrator{Width: n}
-
-	computeRows := func(lo, hi int, iter int) {
-		factor := 1.0
-		if opts.Slowdown != nil {
-			factor = opts.Slowdown(rank, iter)
-		}
-		start := t.NowMs()
-		cb := t.BeginCompute()
-		for li := lo; li <= hi; li++ {
-			g := off + li - 1
-			if g == 0 || g == n-1 {
-				copy(next.row(li), cur.row(li))
-			} else {
-				updateRow(next.row(li), cur.row(li), cur.row(li-1), cur.row(li+1))
-			}
-			cb.Ops(rowOps(g, n)*factor, model.OpFloat)
-		}
-		cb.Done()
-		windowComputeMs += t.NowMs() - start
-	}
-	sendBorders := func() {
-		if rank > 0 {
-			t.Send(rank-1, msgBytes, append([]float64(nil), cur.row(1)...))
-		}
-		if rank < nTasks-1 {
-			t.Send(rank+1, msgBytes, append([]float64(nil), cur.row(rows)...))
-		}
-	}
-	recvGhosts := func() {
-		if rank > 0 {
-			copy(cur.row(0), t.Recv(rank-1).([]float64))
-		}
-		if rank < nTasks-1 {
-			copy(cur.row(rows+1), t.Recv(rank+1).([]float64))
-		}
-	}
-
-	for iter := 0; iter < iters; iter++ {
-		switch v {
-		case STEN1:
-			sendBorders()
-			recvGhosts()
-			computeRows(1, rows, iter)
-		case STEN2:
-			sendBorders()
-			if rows > 2 {
-				computeRows(2, rows-1, iter)
-			}
-			recvGhosts()
-			computeRows(1, 1, iter)
-			if rows > 1 {
-				computeRows(rows, rows, iter)
-			}
-		}
-		cur, next = next, cur
-		t.EndCycle()
-
-		if opts.RebalanceEvery <= 0 || (iter+1)%opts.RebalanceEvery != 0 || iter == iters-1 || nTasks == 1 {
+	s := newSimRank(t, initial, n)
+	s.slowdown = opts.Slowdown
+	for it := 0; it < iters; it++ {
+		s.step(v, it)
+		if opts.RebalanceEvery <= 0 || (it+1)%opts.RebalanceEvery != 0 || it == iters-1 || t.NumTasks() == 1 {
 			continue
 		}
 		// One engine round: gather (measured, rows) at rank 0, plan,
-		// broadcast the (old, new) pair.
-		plan, err := eng.Round(simLink{t}, iter, "interval", rows, windowComputeMs, true)
+		// broadcast the (old, new) pair; then migrate rows to their new
+		// owners.
+		plan, err := eng.Round(simLink{t}, it, "interval", s.rows, s.computeMs, true)
 		if err != nil {
-			panic(fmt.Sprintf("stencil: rank %d repart round: %v", rank, err))
+			panic(fmt.Sprintf("stencil: rank %d repart round: %v", t.Rank(), err))
 		}
-		windowComputeMs = 0
-		if rank == 0 {
+		s.computeMs = 0
+		if t.Rank() == 0 {
 			out.Plans = append(out.Plans, plan)
 			if plan.Changed() {
 				out.Rebalances++
@@ -240,24 +165,9 @@ func runAdaptiveTask(t *spmd.Task, eng *repart.Engine, initial [][]float64, res 
 			}
 			copy(out.FinalVector, plan.New)
 		}
-		if !plan.Changed() {
-			continue
+		if err := s.migrate(simLink{t}, plan); err != nil {
+			panic(fmt.Sprintf("stencil: rank %d migration: %v", t.Rank(), err))
 		}
-
-		// Migrate rows to their new owners through the shared protocol.
-		newOwn := newOwners(plan.New)
-		newRows, newOff := newOwn.Count(rank), newOwn.First(rank)
-		ncur, nnext := newBlock(newRows, n), newBlock(newRows, n)
-		_, _, err = mig.Migrate(simLink{t}, plan.Old, plan.New,
-			func(g int) []float64 { return cur.row(g - off + 1) },
-			func(g int, row []float64) { copy(ncur.row(g-newOff+1), row) })
-		if err != nil {
-			panic(fmt.Sprintf("stencil: rank %d migration: %v", rank, err))
-		}
-		rows, off = newRows, newOff
-		cur, next = ncur, nnext
 	}
-	for i := 0; i < rows; i++ {
-		copy(res.take(off+i), cur.row(i+1))
-	}
+	s.gather(res)
 }

@@ -1,14 +1,12 @@
 package stencil
 
 import (
-	"fmt"
 	"math"
 
 	"netpart/internal/core"
 	"netpart/internal/cost"
 	"netpart/internal/model"
 	"netpart/internal/spmd"
-	"netpart/internal/topo"
 )
 
 // ConvergeResult is the outcome of a run-until-converged execution.
@@ -32,41 +30,33 @@ const reduceBytes = 8
 // gather/broadcast reduction pattern layered on the same synchronous
 // cycle machinery.
 func RunSimUntil(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n int, tol float64, maxIters int) (ConvergeResult, error) {
-	if vec.Sum() != n {
-		return ConvergeResult{}, fmt.Errorf("stencil: vector sums to %d, want N=%d rows", vec.Sum(), n)
-	}
-	names, counts := cfg.Active()
-	pl, err := topo.Contiguous(names, counts)
+	job, err := simJob(net, cfg, vec, n)
 	if err != nil {
 		return ConvergeResult{}, err
-	}
-	if pl.NumTasks() != len(vec) {
-		return ConvergeResult{}, fmt.Errorf("stencil: configuration and vector disagree on task count")
 	}
 	initial := NewGrid(n)
 	res := newResultGrid(n)
 	out := ConvergeResult{}
-	job := spmd.Job{
-		Net:       net,
-		Placement: pl,
-		Vector:    vec,
-		Topology:  topo.OneD{},
-		Body: func(t *spmd.Task) {
-			iters, delta := runConvergeTask(t, initial, res, v, n, tol, maxIters)
-			if t.Rank() == 0 {
-				out.Iterations = iters
-				out.FinalDelta = delta
-			}
-		},
+	job.Body = func(t *spmd.Task) {
+		s := newSimRank(t, initial, n)
+		s.trackDelta = true
+		it, delta := 0, math.Inf(1)
+		for ; it < maxIters && delta > tol; it++ {
+			s.delta = 0
+			s.step(v, it)
+			delta = s.reduceMax()
+		}
+		s.gather(res)
+		if t.Rank() == 0 {
+			out.Iterations, out.FinalDelta = it, delta
+		}
 	}
 	rep, err := spmd.Run(job)
 	if err != nil {
 		return ConvergeResult{}, err
 	}
-	for i, row := range res.rows {
-		if row == nil {
-			return ConvergeResult{}, fmt.Errorf("stencil: row %d not produced", i)
-		}
+	if err := res.complete(); err != nil {
+		return ConvergeResult{}, err
 	}
 	out.ElapsedMs = rep.ElapsedMs
 	out.Grid = res.rows
@@ -97,100 +87,36 @@ func SequentialUntil(grid [][]float64, tol float64, maxIters int) ([][]float64, 
 	return cur, it, delta
 }
 
-// runConvergeTask is the per-rank body: the STEN-1/STEN-2 cycle plus the
-// per-iteration max-delta reduction.
-func runConvergeTask(t *spmd.Task, initial [][]float64, res *resultGrid, v Variant, n int, tol float64, maxIters int) (int, float64) {
-	rows := t.PDUs()
-	off := t.PDUOffset()
-	cur := newBlock(rows, n)
-	next := newBlock(rows, n)
-	for i := 0; i < rows; i++ {
-		copy(cur.row(i+1), initial[off+i])
+// foldDelta folds the change of local row li's interior points, just
+// updated into next, into the rank's maximum delta.
+func (s *simRank) foldDelta(li int) {
+	nr, cr := s.next.row(li), s.cur.row(li)
+	for j := 1; j < s.n-1; j++ {
+		if d := math.Abs(nr[j] - cr[j]); d > s.delta {
+			s.delta = d
+		}
 	}
-	copy(next.cells, cur.cells)
-	rank, nTasks := t.Rank(), t.NumTasks()
-	msgBytes := BytesPerPoint * n
-	localDelta := 0.0
+}
 
-	computeRows := func(lo, hi int) {
-		cb := t.BeginCompute()
-		for li := lo; li <= hi; li++ {
-			g := off + li - 1
-			if g == 0 || g == n-1 {
-				copy(next.row(li), cur.row(li))
-			} else {
-				nr, cr := next.row(li), cur.row(li)
-				updateRow(nr, cr, cur.row(li-1), cur.row(li+1))
-				for j := 1; j < n-1; j++ {
-					if d := math.Abs(nr[j] - cr[j]); d > localDelta {
-						localDelta = d
-					}
-				}
-			}
-			cb.Ops(rowOps(g, n), model.OpFloat)
-		}
-		cb.Done()
+// reduceMax is the global max-delta reduction: every task sends its local
+// maximum to rank 0, which broadcasts the global one.
+func (s *simRank) reduceMax() float64 {
+	t, nTasks := s.t, s.t.NumTasks()
+	if nTasks == 1 {
+		return s.delta
 	}
-	sendBorders := func() {
-		if rank > 0 {
-			t.Send(rank-1, msgBytes, append([]float64(nil), cur.row(1)...))
-		}
-		if rank < nTasks-1 {
-			t.Send(rank+1, msgBytes, append([]float64(nil), cur.row(rows)...))
+	if t.Rank() != 0 {
+		t.Send(0, reduceBytes, s.delta)
+		return t.Recv(0).(float64)
+	}
+	global := s.delta
+	for src := 1; src < nTasks; src++ {
+		if d := t.Recv(src).(float64); d > global {
+			global = d
 		}
 	}
-	recvGhosts := func() {
-		if rank > 0 {
-			copy(cur.row(0), t.Recv(rank-1).([]float64))
-		}
-		if rank < nTasks-1 {
-			copy(cur.row(rows+1), t.Recv(rank+1).([]float64))
-		}
+	for dst := 1; dst < nTasks; dst++ {
+		t.Send(dst, reduceBytes, global)
 	}
-
-	it := 0
-	globalDelta := math.Inf(1)
-	for ; it < maxIters && globalDelta > tol; it++ {
-		localDelta = 0
-		switch v {
-		case STEN1:
-			sendBorders()
-			recvGhosts()
-			computeRows(1, rows)
-		case STEN2:
-			sendBorders()
-			if rows > 2 {
-				computeRows(2, rows-1)
-			}
-			recvGhosts()
-			computeRows(1, 1)
-			if rows > 1 {
-				computeRows(rows, rows)
-			}
-		}
-		cur, next = next, cur
-		// Global max-delta reduction at rank 0, verdict broadcast.
-		if nTasks == 1 {
-			globalDelta = localDelta
-			continue
-		}
-		if rank == 0 {
-			globalDelta = localDelta
-			for src := 1; src < nTasks; src++ {
-				if d := t.Recv(src).(float64); d > globalDelta {
-					globalDelta = d
-				}
-			}
-			for dst := 1; dst < nTasks; dst++ {
-				t.Send(dst, reduceBytes, globalDelta)
-			}
-		} else {
-			t.Send(0, reduceBytes, localDelta)
-			globalDelta = t.Recv(0).(float64)
-		}
-	}
-	for i := 0; i < rows; i++ {
-		copy(res.take(off+i), cur.row(i+1))
-	}
-	return it, globalDelta
+	return global
 }

@@ -140,14 +140,8 @@ type ftShared struct {
 //
 //netpart:wallclock
 func RunLiveFT(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts FTOptions) (FTResult, error) {
-	if len(world) == 0 || len(world) != len(vec) {
-		return FTResult{}, fmt.Errorf("stencil: %d transports for %d vector entries", len(world), len(vec))
-	}
-	if vec.Sum() != n {
-		return FTResult{}, fmt.Errorf("stencil: vector sums to %d, want N=%d", vec.Sum(), n)
-	}
-	if opts.WorkFactor != nil && len(opts.WorkFactor) != len(world) {
-		return FTResult{}, fmt.Errorf("stencil: %d work factors for %d tasks", len(opts.WorkFactor), len(world))
+	if err := checkLive(world, vec, n, opts.WorkFactor); err != nil {
+		return FTResult{}, err
 	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 8
@@ -263,28 +257,27 @@ type rowsBatch struct {
 // ftTask is the per-rank state of the fault-tolerant runtime. One
 // goroutine owns it; all communication flows through pump().
 type ftTask struct {
-	tr      mmps.Transport
-	rank    int
-	size    int
-	n       int
-	iters   int
-	v       Variant
-	opts    FTOptions
-	sh      *ftShared
-	initial [][]float64
-	epochT0 time.Time
+	rankGrid // the band under the current vector
+	tr       mmps.Transport
+	rank     int
+	size     int
+	iters    int
+	v        Variant
+	opts     FTOptions
+	sh       *ftShared
+	initial  [][]float64
+	hooks    liveObs
 
 	epoch    int
 	vec      core.Vector
-	own      owners
+	own      repart.Owners
 	dead     map[int]bool
 	iter     int
 	executed int // monotonic executed-cycle count (crash injection key)
 
-	rows, off int
-	cur, next block
-	scratch   []float64
-	sendBuf   []byte // reused border-frame buffer (one goroutine owns the task)
+	scratch []float64
+	sendBuf []byte  // reused border-frame buffer (one goroutine owns the task)
+	exchMs  float64 // wall time inside the current cycle's exchange
 
 	lastCkpt int                      // newest own checkpoint cycle (0 = implicit)
 	ownCkpt  map[int][][]float64      // cycle -> snapshot of my rows
@@ -303,15 +296,21 @@ type ftTask struct {
 	mRecov   *obs.Counter
 	mRecovMs *obs.Histogram
 	mReplay  *obs.Counter
-	cycleMs  *obs.Histogram
 }
 
 func newFTTask(tr mmps.Transport, vec core.Vector, v Variant, n, iters int, opts FTOptions, sh *ftShared, initial [][]float64, t0 time.Time) *ftTask {
 	m := opts.Metrics
 	return &ftTask{
-		tr: tr, rank: tr.Rank(), size: tr.Size(), n: n, iters: iters, v: v,
-		opts: opts, sh: sh, initial: initial, epochT0: t0,
-		vec: append(core.Vector(nil), vec...), own: newOwners(vec),
+		tr: tr, rank: tr.Rank(), size: tr.Size(), iters: iters, v: v,
+		opts: opts, sh: sh, initial: initial, rankGrid: rankGrid{n: n},
+		hooks: liveObs{
+			epoch:      t0,
+			rec:        opts.Trace,
+			cycleMs:    m.Histogram(MetricLiveCycleMs),
+			exchangeMs: m.Histogram(MetricLiveExchangeMs),
+			cycles:     opts.Cycles,
+		},
+		vec: append(core.Vector(nil), vec...), own: repart.NewOwners(vec),
 		dead:      map[int]bool{},
 		ownCkpt:   map[int][][]float64{},
 		ckptIn:    map[int]map[int]ckptBlob{},
@@ -324,7 +323,6 @@ func newFTTask(tr mmps.Transport, vec core.Vector, v Variant, n, iters int, opts
 		mRecov:    m.Counter(MetricFTRecoveries),
 		mRecovMs:  m.Histogram(MetricFTRecoveryMs),
 		mReplay:   m.Counter(MetricFTReplayedC),
-		cycleMs:   m.Histogram(MetricLiveCycleMs),
 	}
 }
 
@@ -614,15 +612,10 @@ func (t *ftTask) awaitBorder(owner, g, cycle int, into []float64) error {
 
 // run is the rank's whole life: compute, detect, recover, finish.
 func (t *ftTask) run() error {
-	t.rows, t.off = t.own.Count(t.rank), t.own.First(t.rank)
+	t.rankGrid = newRankGrid(t.initial, t.n, t.own.Count(t.rank), t.own.First(t.rank))
 	if t.rows == 0 {
 		return errRetired
 	}
-	t.cur, t.next = t.allocBlock(t.rows)
-	for i := 0; i < t.rows; i++ {
-		copy(t.cur.row(i+1), t.initial[t.off+i])
-	}
-	copy(t.next.cells, t.cur.cells)
 	for {
 		if err := t.computeLoop(); err != nil {
 			if errors.Is(err, errNeedRecovery) {
@@ -655,10 +648,6 @@ func (t *ftTask) run() error {
 	return nil
 }
 
-func (t *ftTask) allocBlock(rows int) (block, block) {
-	return newBlock(rows, t.n), newBlock(rows, t.n)
-}
-
 // neighbors under the current vector: adjacent row-owners, not adjacent
 // ranks (retired ranks own nothing and are skipped).
 func (t *ftTask) northSouth() (north, south int, hasN, hasS bool) {
@@ -671,7 +660,9 @@ func (t *ftTask) northSouth() (north, south int, hasN, hasS bool) {
 	return
 }
 
-func (t *ftTask) computeRows(lo, hi int) {
+// compute executes local rows lo..hi, each repeated by the work factor
+// times any injected slowdown.
+func (t *ftTask) compute(lo, hi int) {
 	factor := 1.0
 	if t.opts.Injector != nil {
 		factor = t.opts.Injector.Slowdown(t.rank, t.iter)
@@ -680,21 +671,33 @@ func (t *ftTask) computeRows(lo, hi int) {
 	if t.opts.WorkFactor != nil {
 		reps = t.opts.WorkFactor[t.rank]
 	}
-	reps = int(float64(reps)*factor + 0.5)
-	if reps < 1 {
-		reps = 1
-	}
-	for li := lo; li <= hi; li++ {
-		g := t.off + li - 1
-		if g == 0 || g == t.n-1 {
-			copy(t.next.row(li), t.cur.row(li))
-			continue
+	t.update(lo, hi, max(int(float64(reps)*factor+0.5), 1), t.scratch)
+}
+
+// exchange runs one part of the halo exchange in the odd-even order of
+// liveRank.haloCycles, over the epoch/cycle envelope: sends go out
+// through sendBorder and ghost rows come in through the pump-backed
+// awaitBorder, which buffers out-of-order frames and detects silent
+// neighbours. Neighbours are the adjacent row-owners under the current
+// vector; after a recovery two of them can share a parity, which is
+// still safe because envelope sends never block.
+func (t *ftTask) exchange(part, it int) error {
+	start := t.hooks.sinceMs()
+	defer func() { t.exchMs += t.hooks.sinceMs() - start }()
+	north, south, hasN, hasS := t.northSouth()
+	if t.rank%2 == part && hasS {
+		t.sendBorder(south, t.off+t.rows-1, t.cur.row(t.rows))
+		if err := t.awaitBorder(south, t.off+t.rows, it, t.cur.row(t.rows+1)); err != nil {
+			return err
 		}
-		updateRow(t.next.row(li), t.cur.row(li), t.cur.row(li-1), t.cur.row(li+1))
-		for extra := 1; extra < reps; extra++ {
-			updateRow(t.scratch, t.cur.row(li), t.cur.row(li-1), t.cur.row(li+1))
-		}
 	}
+	if t.rank%2 != part && hasN {
+		if err := t.awaitBorder(north, t.off-1, it, t.cur.row(0)); err != nil {
+			return err
+		}
+		t.sendBorder(north, t.off, t.cur.row(1))
+	}
+	return nil
 }
 
 // computeLoop runs iterations until completion or a recovery signal.
@@ -709,56 +712,16 @@ func (t *ftTask) computeLoop() error {
 		if t.iter > 0 && t.iter%t.opts.CheckpointEvery == 0 && t.iter != t.lastCkpt {
 			t.checkpoint(t.iter)
 		}
-		cycleStart := time.Now()
-		north, south, hasN, hasS := t.northSouth()
-		if hasN {
-			t.sendBorder(north, t.off, t.cur.row(1))
+		start := t.hooks.sinceMs()
+		t.exchMs = 0
+		if err := t.cycle(t.v, t.iter, t.exchange, t.compute); err != nil {
+			return err
 		}
-		if hasS {
-			t.sendBorder(south, t.off+t.rows-1, t.cur.row(t.rows))
+		var args map[string]any
+		if t.hooks.rec != nil {
+			args = map[string]any{"iter": t.iter, "epoch": t.epoch}
 		}
-		await := func() error {
-			if hasN {
-				if err := t.awaitBorder(north, t.off-1, t.iter, t.cur.row(0)); err != nil {
-					return err
-				}
-			}
-			if hasS {
-				if err := t.awaitBorder(south, t.off+t.rows, t.iter, t.cur.row(t.rows+1)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		switch t.v {
-		case STEN1:
-			if err := await(); err != nil {
-				return err
-			}
-			t.computeRows(1, t.rows)
-		case STEN2:
-			if t.rows > 2 {
-				t.computeRows(2, t.rows-1)
-			}
-			if err := await(); err != nil {
-				return err
-			}
-			t.computeRows(1, 1)
-			if t.rows > 1 {
-				t.computeRows(t.rows, t.rows)
-			}
-		}
-		t.cur, t.next = t.next, t.cur
-		t.cycleMs.Observe(float64(time.Since(cycleStart)) / float64(time.Millisecond))
-		if t.opts.Cycles != nil {
-			t.opts.Cycles.OnCycle(t.rank, t.iter, float64(time.Since(cycleStart))/float64(time.Millisecond))
-		}
-		if t.opts.Trace != nil {
-			startMs := float64(cycleStart.Sub(t.epochT0)) / float64(time.Millisecond)
-			t.opts.Trace.Span("cycle", t.rank, startMs,
-				float64(time.Since(cycleStart))/float64(time.Millisecond),
-				map[string]any{"iter": t.iter, "epoch": t.epoch})
-		}
+		t.hooks.endCycle(t.rank, t.iter, start, t.exchMs, args)
 		t.iter++
 		t.executed++
 	}
@@ -1031,7 +994,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 
 	oldOwn := t.own
 	oldOff, oldRows := t.off, t.rows
-	newOwn := newOwners(newVec)
+	newOwn := repart.NewOwners(newVec)
 	newRows, newOff := newOwn.Count(t.rank), newOwn.First(t.rank)
 	round := roundKey(dl)
 
@@ -1083,7 +1046,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 
 	// Build the new block: regenerate (c*=0), keep local rows, then absorb
 	// incoming batches until every expected row arrived.
-	ncur, nnext := t.allocBlock(newRows)
+	ncur, nnext := newBlock(newRows, t.n), newBlock(newRows, t.n)
 	have := make([]bool, newRows)
 	pending := 0
 	for g := newOff; g < newOff+newRows; g++ {

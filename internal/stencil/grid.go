@@ -1,5 +1,7 @@
 package stencil
 
+import "fmt"
+
 // This file holds the flat-grid compute kernel shared by every stencil
 // runtime — Sequential, the simulated variants, the live/adaptive
 // runtimes, and FT recovery. Rows live in one row-major backing array
@@ -149,4 +151,14 @@ func (r *resultGrid) take(g int) []float64 {
 	dst := r.cells[g*r.width : (g+1)*r.width]
 	r.rows[g] = dst
 	return dst
+}
+
+// complete reports the first row no rank produced.
+func (r *resultGrid) complete() error {
+	for i, row := range r.rows {
+		if row == nil {
+			return fmt.Errorf("stencil: row %d not produced", i)
+		}
+	}
+	return nil
 }

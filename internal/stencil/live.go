@@ -8,13 +8,14 @@ import (
 	"netpart/internal/core"
 	"netpart/internal/mmps"
 	"netpart/internal/obs"
+	"netpart/internal/repart"
 )
 
-// Metric names RunLiveObserved records. Live metrics measure wall-clock
-// time, unlike the spmd.Metric* virtual-time metrics.
+// Metric names RunLiveMonitored and RunLiveFT record. Live metrics
+// measure wall-clock time, unlike the spmd.Metric* virtual-time metrics.
 const (
 	MetricLiveCycleMs    = "live.cycle_ms"    // per-task per-cycle wall time
-	MetricLiveExchangeMs = "live.exchange_ms" // border exchange (send+recv) wall time
+	MetricLiveExchangeMs = "live.exchange_ms" // wall time inside the cycle's two exchange parts
 	MetricLiveElapsedMs  = "live.elapsed_ms"  // gauge: whole-run wall time
 )
 
@@ -40,84 +41,90 @@ type LiveResult struct {
 //
 //netpart:wallclock
 func RunLive(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, workFactor []int) (LiveResult, error) {
-	return RunLiveObserved(world, vec, v, n, iters, workFactor, nil, nil)
+	return RunLiveMonitored(world, vec, v, n, iters, workFactor, nil, nil, nil)
 }
 
-// RunLiveObserved is RunLive with observability attached: wall-clock
-// per-cycle and border-exchange histograms (the MetricLive* names) into m
-// and one span per task per cycle into rec, timestamped relative to the
-// iteration loop's start so the Chrome trace aligns all ranks. Either may
-// be nil to disable.
-//
-//netpart:wallclock
-func RunLiveObserved(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, workFactor []int, m *obs.Registry, rec *obs.Recorder) (LiveResult, error) {
-	return RunLiveMonitored(world, vec, v, n, iters, workFactor, m, rec, nil)
-}
-
-// RunLiveMonitored is RunLiveObserved plus a per-cycle subscription: sink
-// (when non-nil) receives every rank's wall-clock cycle and
-// border-exchange duration as it completes, from that rank's goroutine —
-// the hookup point for the drift monitor (internal/obs/drift).
+// RunLiveMonitored is RunLive with observability attached: wall-clock
+// per-cycle and border-exchange histograms (the MetricLive* names) into m,
+// one span per task per cycle into rec, timestamped relative to the
+// iteration loop's start so the Chrome trace aligns all ranks, and a
+// per-cycle subscription — sink receives every rank's wall-clock cycle
+// and border-exchange duration as it completes, from that rank's
+// goroutine, the hookup point for the drift monitor (internal/obs/drift).
+// Any of the three may be nil.
 //
 //netpart:wallclock
 func RunLiveMonitored(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, workFactor []int, m *obs.Registry, rec *obs.Recorder, sink obs.CycleSink) (LiveResult, error) {
-	if len(world) == 0 || len(world) != len(vec) {
-		return LiveResult{}, fmt.Errorf("stencil: %d transports for %d vector entries", len(world), len(vec))
-	}
-	if vec.Sum() != n {
-		return LiveResult{}, fmt.Errorf("stencil: vector sums to %d, want N=%d", vec.Sum(), n)
-	}
-	if workFactor != nil && len(workFactor) != len(world) {
-		return LiveResult{}, fmt.Errorf("stencil: %d work factors for %d tasks", len(workFactor), len(world))
+	if err := checkLive(world, vec, n, workFactor); err != nil {
+		return LiveResult{}, err
 	}
 	initial := NewGrid(n)
 	res := newResultGrid(n)
-	offsets := make([]int, len(vec))
-	off := 0
-	for r, a := range vec {
-		offsets[r] = off
-		off += a
-	}
-
-	errs := make([]error, len(world))
-	var wg sync.WaitGroup
+	own := repart.NewOwners(vec)
 	start := time.Now()
-	lo := liveObs{
+	hooks := liveObs{
 		epoch:      start,
 		rec:        rec,
 		cycleMs:    m.Histogram(MetricLiveCycleMs),
 		exchangeMs: m.Histogram(MetricLiveExchangeMs),
 		cycles:     sink,
 	}
+	err := runRanks(world, func(tr mmps.Transport) error {
+		r := newLiveRank(tr, initial, n, own, workFactor, hooks)
+		if err := r.haloCycles(v, 0, iters); err != nil {
+			return err
+		}
+		r.gather(res)
+		return nil
+	})
+	elapsed := time.Since(start)
+	m.Gauge(MetricLiveElapsedMs).Set(float64(elapsed) / float64(time.Millisecond))
+	if err != nil {
+		return LiveResult{}, err
+	}
+	if err := res.complete(); err != nil {
+		return LiveResult{}, err
+	}
+	return LiveResult{Elapsed: elapsed, Grid: res.rows}, nil
+}
+
+// checkLive validates the arguments every live runtime shares.
+func checkLive(world []mmps.Transport, vec core.Vector, n int, workFactor []int) error {
+	if len(world) == 0 || len(world) != len(vec) {
+		return fmt.Errorf("stencil: %d transports for %d vector entries", len(world), len(vec))
+	}
+	if vec.Sum() != n {
+		return fmt.Errorf("stencil: vector sums to %d, want N=%d", vec.Sum(), n)
+	}
+	if workFactor != nil && len(workFactor) != len(world) {
+		return fmt.Errorf("stencil: %d work factors for %d tasks", len(workFactor), len(world))
+	}
+	return nil
+}
+
+// runRanks runs body once per transport, one goroutine per rank, and
+// returns the lowest failing rank's error.
+func runRanks(world []mmps.Transport, body func(tr mmps.Transport) error) error {
+	errs := make([]error, len(world))
+	var wg sync.WaitGroup
 	for rank := range world {
 		rank := rank
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			factor := 1
-			if workFactor != nil {
-				factor = workFactor[rank]
-			}
-			errs[rank] = runLiveTask(world[rank], vec[rank], offsets[rank], initial, res, v, n, iters, factor, lo)
+			errs[rank] = body(world[rank])
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	m.Gauge(MetricLiveElapsedMs).Set(float64(elapsed) / float64(time.Millisecond))
 	for rank, err := range errs {
 		if err != nil {
-			return LiveResult{}, fmt.Errorf("stencil: rank %d: %w", rank, err)
+			return fmt.Errorf("stencil: rank %d: %w", rank, err)
 		}
 	}
-	for i, row := range res.rows {
-		if row == nil {
-			return LiveResult{}, fmt.Errorf("stencil: row %d not produced", i)
-		}
-	}
-	return LiveResult{Elapsed: elapsed, Grid: res.rows}, nil
+	return nil
 }
 
-// liveObs carries the wall-clock observability hooks into runLiveTask.
+// liveObs carries the wall-clock observability hooks of a live rank.
 // Zero-valued hooks disable recording (obs instruments are nil-safe).
 type liveObs struct {
 	epoch      time.Time
@@ -132,46 +139,99 @@ func (lo liveObs) sinceMs() float64 {
 	return float64(time.Since(lo.epoch)) / float64(time.Millisecond)
 }
 
-// runLiveTask is the real-execution analogue of runTask: identical cycle
-// structure, but borders are marshaled through the transport and the row
-// update is executed for real. cur/next are flat blocks (grid.go) and each
-// border exchange is one pooled halo frame per neighbor per cycle.
+// endCycle records one finished cycle that started at startMs: exchMs,
+// the time spent inside the two exchange parts, and the whole cycle's
+// duration, into the histograms and the sink, plus one trace span
+// carrying args.
+func (lo liveObs) endCycle(rank, it int, startMs, exchMs float64, args map[string]any) {
+	durMs := lo.sinceMs() - startMs
+	lo.exchangeMs.Observe(exchMs)
+	lo.cycleMs.Observe(durMs)
+	if lo.cycles != nil {
+		lo.cycles.OnExchange(rank, it, exchMs)
+		lo.cycles.OnCycle(rank, it, durMs)
+	}
+	if lo.rec != nil {
+		lo.rec.Span("cycle", rank, startMs, durMs, args)
+	}
+}
+
+// liveRank is one rank of RunLive* or RunLiveAdaptive: its band of the
+// grid, its transport and the buffers its halo exchange reuses.
+type liveRank struct {
+	rankGrid
+	tr   mmps.Transport
+	reps int // row updates per interior row (the work factor)
+	// scratch receives the work factor's repeated updates.
+	scratch []float64
+	// sendBuf and ghostVals are the halo frame buffer and the parse
+	// scratch: Send copies its argument before returning and the parsed
+	// values are copied into the ghost row, so one of each serves every
+	// exchange of the run. Blocks are n columns wide before and after a
+	// migration, so the buffers never grow.
+	sendBuf   []byte
+	ghostVals []float64
+	hooks     liveObs
+	// computeMs accumulates wall compute time for the repart planner.
+	computeMs float64
+	// exchMs accumulates the wall time of the current cycle's exchange.
+	exchMs float64
+}
+
+func newLiveRank(tr mmps.Transport, initial [][]float64, n int, own repart.Owners, workFactor []int, hooks liveObs) *liveRank {
+	rank := tr.Rank()
+	reps := 1
+	if workFactor != nil {
+		reps = workFactor[rank]
+	}
+	return &liveRank{
+		rankGrid:  newRankGrid(initial, n, own.Count(rank), own.First(rank)),
+		tr:        tr,
+		reps:      reps,
+		scratch:   make([]float64, n),
+		sendBuf:   make([]byte, 0, haloHeaderLen+8*n),
+		ghostVals: make([]float64, 0, n),
+		hooks:     hooks,
+	}
+}
+
+// compute executes local rows lo..hi and adds their wall time to
+// computeMs.
+func (r *liveRank) compute(lo, hi int) {
+	start := r.hooks.sinceMs()
+	r.update(lo, hi, r.reps, r.scratch)
+	r.computeMs += r.hooks.sinceMs() - start
+}
+
+// haloCycles runs cycles [from, to) of one live rank through the shared
+// cycle (cycle.go) over the mmps halo exchange — the one exchange every
+// RunLive* and RunLiveAdaptive rank executes, so the protocol
+// netpartverify extracts from this function is the one they run.
+//
+// The exchange is odd-even pairwise: the neighbour pair (a, a+1) is
+// active in part a%2, and within the pair the lower rank initiates (send
+// south, then receive south's border) while the upper rank mirrors the
+// order (receive north, then send north). Every send faces a partner
+// already committed to the matching receive, so the exchange is
+// deadlock-free even on a rendezvous transport; the simulator's
+// send-both-then-receive-both order relies on transport buffering, and
+// netpartverify finds the send-send cycle it forms at every P ≥ 2 under
+// rendezvous semantics. Each border travels as one pooled halo frame
+// (halo.go) whose row index and cycle the receiver checks. Sends read
+// border rows and receives write ghost rows, so STEN-2's interior update
+// may run between the parts, and the grid is bit-identical to the
+// buffered order's. Only the time inside the two parts counts as exchange
+// time.
 //
 //netpart:lockstep
-func runLiveTask(tr mmps.Transport, rows, off int, initial [][]float64, res *resultGrid, v Variant, n, iters, workFactor int, lo liveObs) error {
+func (r *liveRank) haloCycles(v Variant, from, to int) error {
+	tr := r.tr
 	rank, size := tr.Rank(), tr.Size()
-	cur := newBlock(rows, n)
-	next := newBlock(rows, n)
-	scratch := make([]float64, n)
-	for i := 0; i < rows; i++ {
-		copy(cur.row(i+1), initial[off+i])
-	}
-	copy(next.cells, cur.cells)
 	north, south := rank-1, rank+1
 	hasNorth, hasSouth := north >= 0, south < size
-
-	computeRows := func(lo, hi int) {
-		for li := lo; li <= hi; li++ {
-			g := off + li - 1
-			if g == 0 || g == n-1 {
-				copy(next.row(li), cur.row(li))
-				continue
-			}
-			updateRow(next.row(li), cur.row(li), cur.row(li-1), cur.row(li+1))
-			// Heterogeneity emulation: redo the work into a scratch row.
-			for extra := 1; extra < workFactor; extra++ {
-				updateRow(scratch, cur.row(li), cur.row(li-1), cur.row(li+1))
-			}
-		}
-	}
-	// Reusable halo buffers: Send copies its argument before returning and
-	// the parse scratch is consumed by the copy into the ghost row, so one
-	// frame buffer and one value scratch serve every exchange of the run.
-	// Delivered buffers go back to the transport's free list (Recycle).
-	sendBuf := make([]byte, 0, haloHeaderLen+8*n)
-	ghostVals := make([]float64, 0, n)
-	recvGhost := func(from, wantRow, it int, into []float64) error {
-		buf, err := tr.Recv(from)
+	sendBuf, ghostVals := r.sendBuf, r.ghostVals
+	recvGhost := func(src, wantRow, it int, into []float64) error {
+		buf, err := tr.Recv(src)
 		if err != nil {
 			return err
 		}
@@ -180,100 +240,48 @@ func runLiveTask(tr mmps.Transport, rows, off int, initial [][]float64, res *res
 			return err
 		}
 		ghostVals = vals
-		if g != wantRow || cyc != it || len(vals) != n {
+		if g != wantRow || cyc != it || len(vals) != r.n {
 			return fmt.Errorf("ghost row %d at cycle %d with %d values, want row %d cycle %d (%d values)",
-				g, cyc, len(vals), wantRow, it, n)
+				g, cyc, len(vals), wantRow, it, r.n)
 		}
 		copy(into, vals)
 		mmps.Recycle(tr, buf)
 		return nil
 	}
-	// exchangePhase runs one phase of the odd-even pairwise border
-	// exchange. The neighbor pair (a, a+1) is active in phase a%2; within
-	// the pair the lower rank initiates (send south, then receive south's
-	// border) while the upper rank mirrors the order (receive north, then
-	// send north). Every send faces a partner already committed to the
-	// matching receive, so the exchange is deadlock-free even on a
-	// rendezvous transport — the old send-both-then-receive-both order
-	// relied on transport buffering and netpartverify finds the send-send
-	// cycle it forms at every P ≥ 2 under rendezvous semantics. Payloads
-	// are unaffected: sends read border rows and receives write ghost
-	// rows, so the grid results are bit-identical to the buffered order.
-	exchangePhase := func(phase, it int) error {
-		if rank%2 == phase && hasSouth {
-			sendBuf = appendHaloFrame(sendBuf[:0], off+rows-1, it, cur.row(rows))
+	exchange := func(part, it int) error {
+		start := r.hooks.sinceMs()
+		if rank%2 == part && hasSouth {
+			sendBuf = appendHaloFrame(sendBuf[:0], r.off+r.rows-1, it, r.cur.row(r.rows))
 			if err := tr.Send(south, sendBuf); err != nil {
 				return err
 			}
-			if err := recvGhost(south, off+rows, it, cur.row(rows+1)); err != nil {
+			if err := recvGhost(south, r.off+r.rows, it, r.cur.row(r.rows+1)); err != nil {
 				return err
 			}
 		}
-		if rank%2 != phase && hasNorth {
-			if err := recvGhost(north, off-1, it, cur.row(0)); err != nil {
+		if rank%2 != part && hasNorth {
+			if err := recvGhost(north, r.off-1, it, r.cur.row(0)); err != nil {
 				return err
 			}
-			sendBuf = appendHaloFrame(sendBuf[:0], off, it, cur.row(1))
+			sendBuf = appendHaloFrame(sendBuf[:0], r.off, it, r.cur.row(1))
 			if err := tr.Send(north, sendBuf); err != nil {
 				return err
 			}
 		}
+		r.exchMs += r.hooks.sinceMs() - start
 		return nil
 	}
-
-	for it := 0; it < iters; it++ {
-		cycleStart := lo.sinceMs()
-		switch v {
-		case STEN1:
-			exchStart := lo.sinceMs()
-			if err := exchangePhase(0, it); err != nil {
-				return err
-			}
-			if err := exchangePhase(1, it); err != nil {
-				return err
-			}
-			exchMs := lo.sinceMs() - exchStart
-			lo.exchangeMs.Observe(exchMs)
-			if lo.cycles != nil {
-				lo.cycles.OnExchange(rank, it, exchMs)
-			}
-			computeRows(1, rows)
-		case STEN2:
-			// Overlap: the second exchange phase is deferred until after the
-			// interior update, which touches neither the border rows the
-			// phase sends nor the ghost rows it fills.
-			exchStart := lo.sinceMs()
-			if err := exchangePhase(0, it); err != nil {
-				return err
-			}
-			if rows > 2 {
-				computeRows(2, rows-1)
-			}
-			if err := exchangePhase(1, it); err != nil {
-				return err
-			}
-			exchMs := lo.sinceMs() - exchStart
-			lo.exchangeMs.Observe(exchMs)
-			if lo.cycles != nil {
-				lo.cycles.OnExchange(rank, it, exchMs)
-			}
-			computeRows(1, 1)
-			if rows > 1 {
-				computeRows(rows, rows)
-			}
+	for it := from; it < to; it++ {
+		start := r.hooks.sinceMs()
+		r.exchMs = 0
+		if err := r.cycle(v, it, exchange, r.compute); err != nil {
+			return err
 		}
-		cur, next = next, cur
-		now := lo.sinceMs()
-		lo.cycleMs.Observe(now - cycleStart)
-		if lo.cycles != nil {
-			lo.cycles.OnCycle(rank, it, now-cycleStart)
+		var args map[string]any
+		if r.hooks.rec != nil {
+			args = map[string]any{"iter": it}
 		}
-		if lo.rec != nil {
-			lo.rec.Span("cycle", rank, cycleStart, now-cycleStart, map[string]any{"iter": it})
-		}
-	}
-	for i := 0; i < rows; i++ {
-		copy(res.take(off+i), cur.row(i+1))
+		r.hooks.endCycle(rank, it, start, r.exchMs, args)
 	}
 	return nil
 }

@@ -1,8 +1,6 @@
 package stencil
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"netpart/internal/core"
@@ -82,17 +80,12 @@ type LiveAdaptiveResult struct {
 //
 //netpart:wallclock
 func RunLiveAdaptive(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts LiveAdaptiveOptions) (LiveAdaptiveResult, error) {
-	if len(world) == 0 || len(world) != len(vec) {
-		return LiveAdaptiveResult{}, fmt.Errorf("stencil: %d transports for %d vector entries", len(world), len(vec))
-	}
-	if vec.Sum() != n {
-		return LiveAdaptiveResult{}, fmt.Errorf("stencil: vector sums to %d, want N=%d", vec.Sum(), n)
-	}
-	if opts.WorkFactor != nil && len(opts.WorkFactor) != len(world) {
-		return LiveAdaptiveResult{}, fmt.Errorf("stencil: %d work factors for %d tasks", len(opts.WorkFactor), len(world))
+	if err := checkLive(world, vec, n, opts.WorkFactor); err != nil {
+		return LiveAdaptiveResult{}, err
 	}
 	initial := NewGrid(n)
 	res := newResultGrid(n)
+	own := repart.NewOwners(vec)
 	out := LiveAdaptiveResult{FinalVector: append(core.Vector(nil), vec...)}
 	eng := &repart.Engine{
 		Planner:  repart.NewPlanner(opts.Planner),
@@ -100,174 +93,60 @@ func RunLiveAdaptive(world []mmps.Transport, vec core.Vector, v Variant, n, iter
 		Trace:    opts.Trace,
 		Observer: opts.Observer,
 	}
-	errs := make([]error, len(world))
-	var wg sync.WaitGroup
 	start := time.Now()
-	for rank := range world {
-		rank := rank
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			factor := 1
-			if opts.WorkFactor != nil {
-				factor = opts.WorkFactor[rank]
-			}
-			errs[rank] = runLiveAdaptiveTask(world[rank], eng, vec, initial, res, v, n, iters, factor, opts, &out)
-		}()
-	}
-	wg.Wait()
+	hooks := liveObs{epoch: start, cycles: opts.Cycles}
+	err := runRanks(world, func(tr mmps.Transport) error {
+		r := newLiveRank(tr, initial, n, own, opts.WorkFactor, hooks)
+		if err := r.runAdaptive(eng, v, iters, opts, &out); err != nil {
+			return err
+		}
+		r.gather(res)
+		return nil
+	})
 	out.Elapsed = time.Since(start)
-	for rank, err := range errs {
-		if err != nil {
-			return LiveAdaptiveResult{}, fmt.Errorf("stencil: rank %d: %w", rank, err)
-		}
+	if err != nil {
+		return LiveAdaptiveResult{}, err
 	}
-	for i, row := range res.rows {
-		if row == nil {
-			return LiveAdaptiveResult{}, fmt.Errorf("stencil: row %d not produced", i)
-		}
+	if err := res.complete(); err != nil {
+		return LiveAdaptiveResult{}, err
 	}
 	out.Grid = res.rows
 	return out, nil
 }
 
-// runLiveAdaptiveTask mirrors the simulated adaptive body over real
-// transports: the border cycle, then — at the check cadence — one repart
-// engine round and, when the plan changed, one Migrator round.
-func runLiveAdaptiveTask(tr mmps.Transport, eng *repart.Engine, initVec core.Vector, initial [][]float64, res *resultGrid, v Variant, n, iters, workFactor int, opts LiveAdaptiveOptions, out *LiveAdaptiveResult) error {
-	rank, nTasks := tr.Rank(), tr.Size()
-	own := newOwners(initVec)
-	rows := own.Count(rank)
-	off := own.First(rank)
+// runAdaptive mirrors the simulated adaptive body over real transports:
+// the halo cycles up to the next check, then one repart engine round and,
+// when the plan changed, one Migrator round.
+func (r *liveRank) runAdaptive(eng *repart.Engine, v Variant, iters int, opts LiveAdaptiveOptions, out *LiveAdaptiveResult) error {
+	rank, nTasks := r.tr.Rank(), r.tr.Size()
 	every := opts.checkEvery()
-
-	scratch := make([]float64, n)
-	cur, next := newBlock(rows, n), newBlock(rows, n)
-	for i := 0; i < rows; i++ {
-		copy(cur.row(i+1), initial[off+i])
+	if every <= 0 || nTasks == 1 {
+		every = iters
 	}
-	copy(next.cells, cur.cells)
-	windowMs := 0.0
-	mig := repart.Migrator{Width: n}
-	epoch := time.Now()
-	sinceMs := func() float64 { return float64(time.Since(epoch)) / float64(time.Millisecond) }
-
-	computeRows := func(lo, hi int) {
-		start := sinceMs()
-		for li := lo; li <= hi; li++ {
-			g := off + li - 1
-			if g == 0 || g == n-1 {
-				copy(next.row(li), cur.row(li))
-				continue
-			}
-			updateRow(next.row(li), cur.row(li), cur.row(li-1), cur.row(li+1))
-			for extra := 1; extra < workFactor; extra++ {
-				updateRow(scratch, cur.row(li), cur.row(li-1), cur.row(li+1))
-			}
-		}
-		windowMs += sinceMs() - start
-	}
-	// One pooled halo frame per neighbor per cycle; the reused buffers
-	// survive migrations because every block is n columns wide.
-	sendBuf := make([]byte, 0, haloHeaderLen+8*n)
-	ghostVals := make([]float64, 0, n)
-	sendBorder := func(dst, g, iter int, row []float64) error {
-		sendBuf = appendHaloFrame(sendBuf[:0], g, iter, row)
-		return tr.Send(dst, sendBuf)
-	}
-	recvBorder := func(src, wantRow, iter int, into []float64) error {
-		buf, err := tr.Recv(src)
-		if err != nil {
+	for from := 0; from < iters; from += every {
+		to := min(from+every, iters)
+		if err := r.haloCycles(v, from, to); err != nil {
 			return err
 		}
-		g, cyc, vals, err := parseHaloFrame(buf, ghostVals[:0])
-		if err != nil {
-			return err
+		if to == iters {
+			break
 		}
-		ghostVals = vals
-		if g != wantRow || cyc != iter || len(vals) != n {
-			return fmt.Errorf("border row %d at cycle %d with %d values, want row %d cycle %d",
-				g, cyc, len(vals), wantRow, iter)
-		}
-		copy(into, vals)
-		mmps.Recycle(tr, buf)
-		return nil
-	}
-
-	for iter := 0; iter < iters; iter++ {
-		cycleStart := sinceMs()
-		exchMs := 0.0
-		hasNorth, hasSouth := rank > 0, rank < nTasks-1
-		// One synchronous border cycle.
-		exchStart := sinceMs()
-		if hasNorth {
-			if err := sendBorder(rank-1, off, iter, cur.row(1)); err != nil {
-				return err
-			}
-		}
-		if hasSouth {
-			if err := sendBorder(rank+1, off+rows-1, iter, cur.row(rows)); err != nil {
-				return err
-			}
-		}
-		recvAll := func() error {
-			start := sinceMs()
-			defer func() { exchMs += sinceMs() - start }()
-			if hasNorth {
-				if err := recvBorder(rank-1, off-1, iter, cur.row(0)); err != nil {
-					return err
-				}
-			}
-			if hasSouth {
-				if err := recvBorder(rank+1, off+rows, iter, cur.row(rows+1)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		exchMs += sinceMs() - exchStart
-		switch v {
-		case STEN1:
-			if err := recvAll(); err != nil {
-				return err
-			}
-			computeRows(1, rows)
-		case STEN2:
-			if rows > 2 {
-				computeRows(2, rows-1)
-			}
-			if err := recvAll(); err != nil {
-				return err
-			}
-			computeRows(1, 1)
-			if rows > 1 {
-				computeRows(rows, rows)
-			}
-		}
-		cur, next = next, cur
-		if opts.Cycles != nil {
-			opts.Cycles.OnExchange(rank, iter, exchMs)
-			opts.Cycles.OnCycle(rank, iter, sinceMs()-cycleStart)
-		}
-
-		if every <= 0 || (iter+1)%every != 0 || iter == iters-1 || nTasks == 1 {
-			continue
-		}
-		// One engine round. Every rank enters at the shared cadence so the
-		// protocol stays in lockstep; only rank 0 consults the trigger, so
-		// wall-clock-dependent firing cannot desynchronize the ranks.
+		// One engine round after iteration to-1. Every rank enters at the
+		// shared cadence so the protocol stays in lockstep; only rank 0
+		// consults the trigger, so wall-clock-dependent firing cannot
+		// desynchronize the ranks.
 		doPlan, reason := true, "interval"
 		if rank == 0 && opts.Trigger != nil {
 			doPlan, reason = opts.Trigger.Take(), "drift"
-			if !doPlan && opts.RebalanceEvery > 0 && (iter+1)%opts.RebalanceEvery == 0 {
+			if !doPlan && opts.RebalanceEvery > 0 && to%opts.RebalanceEvery == 0 {
 				doPlan, reason = true, "interval"
 			}
 		}
-		plan, err := eng.Round(tr, iter, reason, rows, windowMs, doPlan)
+		plan, err := eng.Round(r.tr, to-1, reason, r.rows, r.computeMs, doPlan)
 		if err != nil {
 			return err
 		}
-		windowMs = 0
+		r.computeMs = 0
 		if rank == 0 {
 			out.Plans = append(out.Plans, plan)
 			if plan.Changed() {
@@ -276,25 +155,9 @@ func runLiveAdaptiveTask(tr mmps.Transport, eng *repart.Engine, initVec core.Vec
 			}
 			copy(out.FinalVector, plan.New)
 		}
-		if !plan.Changed() {
-			continue
-		}
-
-		// Migrate rows to their new owners through the shared protocol.
-		newOwn := newOwners(plan.New)
-		newRows, newOff := newOwn.Count(rank), newOwn.First(rank)
-		ncur, nnext := newBlock(newRows, n), newBlock(newRows, n)
-		_, _, err = mig.Migrate(tr, plan.Old, plan.New,
-			func(g int) []float64 { return cur.row(g - off + 1) },
-			func(g int, row []float64) { copy(ncur.row(g-newOff+1), row) })
-		if err != nil {
+		if err := r.migrate(r.tr, plan); err != nil {
 			return err
 		}
-		rows, off = newRows, newOff
-		cur, next = ncur, nnext
-	}
-	for i := 0; i < rows; i++ {
-		copy(res.take(off+i), cur.row(i+1))
 	}
 	return nil
 }

@@ -21,7 +21,7 @@ func TestRunSimObservedMetricsAndSpans(t *testing.T) {
 	}
 	m := obs.NewRegistry()
 	rec := obs.NewRecorder(nil)
-	res, err := RunSimObserved(net, cfg, vec, STEN1, n, iters, m, rec)
+	res, err := RunSimMonitored(net, cfg, vec, STEN1, n, iters, m, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRunLiveObservedMetrics(t *testing.T) {
 	vec := core.Vector{8, 8, 8}
 	m := obs.NewRegistry()
 	rec := obs.NewRecorder(nil)
-	res, err := RunLiveObserved(world, vec, STEN1, n, iters, nil, m, rec)
+	res, err := RunLiveMonitored(world, vec, STEN1, n, iters, nil, m, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,21 +178,15 @@ type SimResult struct {
 // Jacobi iterations. The final grid is assembled and returned for
 // verification against Sequential.
 func RunSim(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int) (SimResult, error) {
-	return RunSimObserved(net, cfg, vec, v, n, iters, nil, nil)
+	return RunSimMonitored(net, cfg, vec, v, n, iters, nil, nil, nil)
 }
 
-// RunSimObserved is RunSim with observability attached: per-cycle and
+// RunSimMonitored is RunSim with observability attached: per-cycle and
 // per-message runtime metrics (the spmd.Metric* names) recorded into m,
-// and one span per task per cycle into rec for Chrome trace export. Either
-// may be nil to disable.
-func RunSimObserved(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int, m *obs.Registry, rec *obs.Recorder) (SimResult, error) {
-	return RunSimMonitored(net, cfg, vec, v, n, iters, m, rec, nil)
-}
-
-// RunSimMonitored is RunSimObserved plus a per-cycle subscription: sink
-// (when non-nil) receives every task's cycle and border-exchange duration
-// in virtual-time milliseconds as it completes — the hookup point for the
-// drift monitor (internal/obs/drift).
+// one span per task per cycle into rec for Chrome trace export, and a
+// per-cycle subscription — sink receives every task's cycle duration in
+// virtual-time milliseconds as it completes, the hookup point for the
+// drift monitor (internal/obs/drift). Any of the three may be nil.
 func RunSimMonitored(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int, m *obs.Registry, rec *obs.Recorder, sink obs.CycleSink) (SimResult, error) {
 	job, err := simJob(net, cfg, vec, n)
 	if err != nil {
@@ -202,16 +196,18 @@ func RunSimMonitored(net *model.Network, cfg cost.Config, vec core.Vector, v Var
 	res := newResultGrid(n)
 	job.Metrics, job.Trace, job.Cycles = m, rec, sink
 	job.Body = func(t *spmd.Task) {
-		runTask(t, initial, res, v, n, iters)
+		s := newSimRank(t, initial, n)
+		for it := 0; it < iters; it++ {
+			s.step(v, it)
+		}
+		s.gather(res)
 	}
 	rep, err := spmd.Run(job)
 	if err != nil {
 		return SimResult{}, err
 	}
-	for i, row := range res.rows {
-		if row == nil {
-			return SimResult{}, fmt.Errorf("stencil: row %d not produced", i)
-		}
+	if err := res.complete(); err != nil {
+		return SimResult{}, err
 	}
 	return SimResult{ElapsedMs: rep.ElapsedMs, Grid: res.rows, Report: rep}, nil
 }
@@ -232,7 +228,10 @@ func SimElapsed(net *model.Network, cfg cost.Config, vec core.Vector, v Variant,
 	}
 	job.SimOptions = opts
 	job.Body = func(t *spmd.Task) {
-		runTask(t, nil, nil, v, n, iters)
+		s := newSimRank(t, nil, n)
+		for it := 0; it < iters; it++ {
+			s.step(v, it)
+		}
 	}
 	rep, err := spmd.Run(job)
 	if err != nil {
@@ -250,107 +249,101 @@ func rowOps(globalRow, n int) float64 {
 	return OpsPerPoint * float64(n)
 }
 
-// runTask is the per-rank body shared by STEN-1 and STEN-2. The task owns
-// global rows [off, off+rows); cur/next are flat blocks with one ghost row
-// on each side at local indices 0 and rows+1. With a nil initial grid the
-// task runs its schedule only (SimElapsed): every charge, send size,
-// receive and cycle boundary is the same, in the same order, but there are
-// no blocks, no row updates and no payloads, and res is not written.
-func runTask(t *spmd.Task, initial [][]float64, res *resultGrid, v Variant, n, iters int) {
-	rows := t.PDUs()
-	off := t.PDUOffset()
-	numeric := initial != nil
-	var cur, next block
-	if numeric {
-		cur, next = newBlock(rows, n), newBlock(rows, n)
-		for i := 0; i < rows; i++ {
-			copy(cur.row(i+1), initial[off+i])
-		}
-		copy(next.cells, cur.cells)
-	}
-	north, south := t.Rank()-1, t.Rank()+1
-	hasNorth, hasSouth := north >= 0, south < t.NumTasks()
-	msgBytes := BytesPerPoint * n
+// simRank is one task of a simulated run: its band of the grid and the
+// simulator's exchange and compute step for the shared cycle (cycle.go).
+type simRank struct {
+	rankGrid
+	t *spmd.Task
+	// iter is the iteration in progress, for slowdown.
+	iter int
+	// slowdown, when non-nil, scales each row's charged operations: a
+	// multiplicative compute-time factor for (rank, iteration).
+	slowdown func(rank, iter int) float64
+	// computeMs accumulates virtual compute time for the repart planner.
+	computeMs float64
+	// trackDelta makes compute fold each updated point's change into
+	// delta, the local term of RunSimUntil's max-delta reduction.
+	trackDelta bool
+	delta      float64
+}
 
-	// computeRows updates local rows [lo, hi] (1-based local indices),
-	// batching the per-row virtual-time charges into one scheduler trip.
-	// The charges are made per row in row order even without numerics:
-	// the batch's accumulated time depends on the summation order.
-	computeRows := func(lo, hi int) {
-		cb := t.BeginCompute()
-		for li := lo; li <= hi; li++ {
-			g := off + li - 1 // global row
-			if numeric {
-				if g == 0 || g == n-1 {
-					copy(next.row(li), cur.row(li))
-				} else {
-					updateRow(next.row(li), cur.row(li), cur.row(li-1), cur.row(li+1))
-				}
-			}
-			cb.Ops(rowOps(g, n), model.OpFloat)
-		}
-		cb.Done()
-	}
-	// sendRow sends local row li to dst. Payloads are copies: the sim
-	// delivers them at a later virtual time, after this task may have
-	// swapped and begun overwriting. The byte count is charged either way.
-	sendRow := func(dst, li int) {
-		var payload interface{}
-		if numeric {
-			payload = append([]float64(nil), cur.row(li)...)
-		}
-		t.Send(dst, msgBytes, payload)
-	}
-	recvRow := func(src, li int) {
-		payload := t.Recv(src)
-		if numeric {
-			copy(cur.row(li), payload.([]float64))
-		}
-	}
-	sendBorders := func() {
+// newSimRank loads the task's rows of initial; a nil initial grid runs
+// the schedule only (SimElapsed).
+func newSimRank(t *spmd.Task, initial [][]float64, n int) *simRank {
+	return &simRank{rankGrid: newRankGrid(initial, n, t.PDUs(), t.PDUOffset()), t: t}
+}
+
+// step runs iteration it through the shared cycle and ends the task's
+// SPMD cycle.
+func (s *simRank) step(v Variant, it int) {
+	s.iter = it
+	_ = s.cycle(v, it, s.exchange, s.compute) // the simulated exchange cannot fail
+	s.t.EndCycle()
+}
+
+// exchange is the simulator's halo exchange, in the paper's async-send
+// order: part 0 posts both border sends, part 1 receives both ghost rows.
+// Table 2, Fig. 3 and perfbench's golden file pin the virtual times this
+// order produces, so it must not change. The byte count is charged
+// either way; payloads are copies, because the simulator delivers them at
+// a later virtual time, after this task may have swapped and begun
+// overwriting, and are nil in schedule-only mode.
+func (s *simRank) exchange(part, _ int) error {
+	north, south := s.t.Rank()-1, s.t.Rank()+1
+	hasNorth, hasSouth := north >= 0, south < s.t.NumTasks()
+	if part == 0 {
 		if hasNorth {
-			sendRow(north, 1)
+			s.send(north, 1)
 		}
 		if hasSouth {
-			sendRow(south, rows)
+			s.send(south, s.rows)
 		}
+		return nil
 	}
-	recvGhosts := func() {
-		if hasNorth {
-			recvRow(north, 0)
-		}
-		if hasSouth {
-			recvRow(south, rows+1)
-		}
+	if hasNorth {
+		s.recv(north, 0)
 	}
+	if hasSouth {
+		s.recv(south, s.rows+1)
+	}
+	return nil
+}
 
-	for it := 0; it < iters; it++ {
-		switch v {
-		case STEN1:
-			// Communication phase (async sends then blocking receives),
-			// then the computation phase.
-			sendBorders()
-			recvGhosts()
-			computeRows(1, rows)
-		case STEN2:
-			// Border transmission overlapped with the interior update:
-			// rows 2..rows-1 need no ghost data.
-			sendBorders()
-			if rows > 2 {
-				computeRows(2, rows-1)
-			}
-			recvGhosts()
-			computeRows(1, 1)
-			if rows > 1 {
-				computeRows(rows, rows)
+func (s *simRank) send(dst, li int) {
+	var payload interface{}
+	if s.cur.cells != nil {
+		payload = append([]float64(nil), s.cur.row(li)...)
+	}
+	s.t.Send(dst, BytesPerPoint*s.n, payload)
+}
+
+func (s *simRank) recv(src, li int) {
+	payload := s.t.Recv(src)
+	if s.cur.cells != nil {
+		copy(s.cur.row(li), payload.([]float64))
+	}
+}
+
+// compute charges local rows lo..hi as one virtual-time batch, updating
+// them too unless the run is schedule-only. The charges are made per row
+// in row order even without numerics: the batch's accumulated time
+// depends on the summation order.
+func (s *simRank) compute(lo, hi int) {
+	factor := 1.0
+	if s.slowdown != nil {
+		factor = s.slowdown(s.t.Rank(), s.iter)
+	}
+	start := s.t.NowMs()
+	cb := s.t.BeginCompute()
+	for li := lo; li <= hi; li++ {
+		if s.cur.cells != nil {
+			s.update(li, li, 1, nil)
+			if s.trackDelta {
+				s.foldDelta(li)
 			}
 		}
-		cur, next = next, cur
-		t.EndCycle()
+		cb.Ops(rowOps(s.off+li-1, s.n)*factor, model.OpFloat)
 	}
-	if numeric {
-		for i := 0; i < rows; i++ {
-			copy(res.take(off+i), cur.row(i+1))
-		}
-	}
+	cb.Done()
+	s.computeMs += s.t.NowMs() - start
 }

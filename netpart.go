@@ -438,19 +438,6 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
 	return obs.WriteChromeTrace(w, events)
 }
 
-// RunStencilSimObserved is RunStencilSim with instrumentation: per-cycle
-// timings, message/byte counters, and delivery latencies land in m, and a
-// per-task-cycle span stream lands in rec (either may be nil).
-func RunStencilSimObserved(net *Network, cfg Config, vec Vector, v StencilVariant, n, iters int, m *Metrics, rec *TraceRecorder) (stencil.SimResult, error) {
-	return stencil.RunSimObserved(net, cfg, vec, v, n, iters, m, rec)
-}
-
-// RunStencilLiveObserved is RunStencilLive with wall-clock cycle/exchange
-// instrumentation.
-func RunStencilLiveObserved(world []Transport, vec Vector, v StencilVariant, n, iters int, workFactor []int, m *Metrics, rec *TraceRecorder) (stencil.LiveResult, error) {
-	return stencil.RunLiveObserved(world, vec, v, n, iters, workFactor, m, rec)
-}
-
 // WithTransportMetrics counts messages, bytes, packets, and retransmissions
 // of an mmps world into a metrics registry.
 func WithTransportMetrics(m *Metrics) mmps.Option { return mmps.WithMetrics(m) }
@@ -562,14 +549,17 @@ func NewDriftMonitor(cfg DriftConfig, m *Metrics, rec *TraceRecorder) *DriftMoni
 	return drift.New(cfg, m, rec)
 }
 
-// RunStencilSimMonitored is RunStencilSimObserved plus a per-cycle
-// subscription (the drift-monitor hookup).
+// RunStencilSimMonitored is RunStencilSim with instrumentation: per-cycle
+// timings, message/byte counters, and delivery latencies land in m, a
+// per-task-cycle span stream lands in rec, and sink receives each cycle
+// as it completes (the drift-monitor hookup). Any of the three may be nil.
 func RunStencilSimMonitored(net *Network, cfg Config, vec Vector, v StencilVariant, n, iters int, m *Metrics, rec *TraceRecorder, sink CycleSink) (stencil.SimResult, error) {
 	return stencil.RunSimMonitored(net, cfg, vec, v, n, iters, m, rec, sink)
 }
 
-// RunStencilLiveMonitored is RunStencilLiveObserved plus a per-cycle
-// subscription (the drift-monitor hookup).
+// RunStencilLiveMonitored is RunStencilLive with wall-clock cycle and
+// exchange instrumentation into m and rec, and a per-cycle subscription
+// (the drift-monitor hookup). Any of the three may be nil.
 func RunStencilLiveMonitored(world []Transport, vec Vector, v StencilVariant, n, iters int, workFactor []int, m *Metrics, rec *TraceRecorder, sink CycleSink) (stencil.LiveResult, error) {
 	return stencil.RunLiveMonitored(world, vec, v, n, iters, workFactor, m, rec, sink)
 }

@@ -122,7 +122,7 @@ func TestFacadeObservedStencilRun(t *testing.T) {
 	}
 	m := netpart.NewMetrics()
 	rec := netpart.NewTraceRecorder(nil)
-	res, err := netpart.RunStencilSimObserved(net, cfg, vec, netpart.STEN1, n, iters, m, rec)
+	res, err := netpart.RunStencilSimMonitored(net, cfg, vec, netpart.STEN1, n, iters, m, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
