@@ -46,17 +46,27 @@ func Adaptive(e *Env, n, iters int) (*AdaptiveResult, error) {
 		}
 		return 1
 	}
-	static, err := stencil.RunSimAdaptive(e.Net, cfg, vec, stencil.STEN1, n, iters,
-		stencil.AdaptiveOptions{Slowdown: slowdown})
+	// The static run, the adaptive run and the sequential reference are
+	// independent; each unit writes only its own result.
+	var static, adaptive stencil.AdaptiveResult
+	var want [][]float64
+	err = ParallelFor(e.workers(), 3, func(i int) error {
+		var err error
+		switch i {
+		case 0:
+			static, err = stencil.RunSimAdaptive(e.Net, cfg, vec, stencil.STEN1, n, iters,
+				stencil.AdaptiveOptions{Slowdown: slowdown})
+		case 1:
+			adaptive, err = stencil.RunSimAdaptive(e.Net, cfg, vec, stencil.STEN1, n, iters,
+				stencil.AdaptiveOptions{Slowdown: slowdown, RebalanceEvery: iters / 8})
+		default:
+			want = stencil.Sequential(stencil.NewGrid(n), iters)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	adaptive, err := stencil.RunSimAdaptive(e.Net, cfg, vec, stencil.STEN1, n, iters,
-		stencil.AdaptiveOptions{Slowdown: slowdown, RebalanceEvery: iters / 8})
-	if err != nil {
-		return nil, err
-	}
-	want := stencil.Sequential(stencil.NewGrid(n), iters)
 	exact := gridsMatch(static.Grid, want) && gridsMatch(adaptive.Grid, want)
 	return &AdaptiveResult{
 		N: n, Iters: iters,

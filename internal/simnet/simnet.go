@@ -5,11 +5,17 @@
 // joining segments with a per-byte delay, per-byte data coercion between
 // clusters of different formats, and host send/receive processing costs.
 //
-// Simulated tasks are goroutines coordinated by a cooperative scheduler:
+// Simulated tasks are goroutines that hand control to each other directly:
 // exactly one task runs at a time, and tasks advance the virtual clock by
-// blocking in Advance, Send, and Recv. Runs are fully deterministic — the
-// event queue is ordered by (virtual time, sequence number) and the
-// simulation uses no wall-clock time or randomness.
+// blocking in Advance, Send, and Recv. A task that blocks runs the event
+// loop itself, on its own goroutine, until the next task is due, then
+// resumes that task with one channel send and waits to be resumed in turn
+// (no switch at all when the due task is itself). Run only starts the
+// loop and waits for the queue to drain; before it returns it releases
+// every task left blocked (deadlock), so no goroutine outlives the run.
+// Runs are fully deterministic — the event queue is ordered by (virtual
+// time, sequence number) and the simulation uses no wall-clock time or
+// randomness.
 //
 // Why this produces Eq. 1 costs: a message of b bytes from a cluster with
 // per-message channel occupancy σ (model.Cluster.MsgOverheadMs) and host
@@ -24,7 +30,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -41,18 +46,33 @@ const (
 	RecvCPUMs = 0.05
 )
 
-// event is one scheduled action: either a closure (fn) or a bare task
-// wake-up (wake). The wake fast path exists because the overwhelming
-// majority of events — every Advance, every post-delivery resume — only
-// step a parked task; representing them without a closure lets the
-// scheduler recycle event structs through a free list instead of
-// allocating one struct plus one closure per scheduled event.
+// event is one scheduled action. Every event the substrate itself
+// schedules is closure-free — a task wake-up, a RecvWithin deadline, and
+// the two legs of a message's transit carry their operands here — so the
+// scheduler recycles event structs through a free list instead of
+// allocating one struct plus one closure per event. Only the fault
+// injector's retry and delay steps schedule closures (fn).
 type event struct {
 	at   float64
 	seq  int64
-	fn   func()
-	wake *Proc
+	kind eventKind
+	// p is the task to resume (evWake, evTimeout) or the message's
+	// destination (evRoute, evDeliver).
+	p   *Proc
+	msg *Message // evRoute, evDeliver
+	gen uint64   // evTimeout: the wait generation the deadline was armed for
+	fn  func()   // evFunc
 }
+
+type eventKind uint8
+
+const (
+	evWake    eventKind = iota // resume p
+	evTimeout                  // resume p if it is still in wait gen
+	evRoute                    // msg leaves the router: queue on p's segment
+	evDeliver                  // msg reaches p's mailbox
+	evFunc                     // run fn
+)
 
 // maxFreeEvents bounds the event free list. The live set of events is
 // proportional to tasks plus in-flight messages, so the pool's high-water
@@ -60,24 +80,65 @@ type event struct {
 // memory forever.
 const maxFreeEvents = 4096
 
+// eventHeap is a binary min-heap of events in (at, seq) order. It is
+// typed rather than built on container/heap so that every sift step
+// compares inline instead of through interface calls. Sequence numbers
+// are unique, so the order is total and the pop sequence is the same for
+// any correct heap.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+//netpart:hotpath
+func (h *eventHeap) push(ev *event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	*h = q
+}
+
+// pop removes and returns the earliest event; h must not be empty.
+//
+//netpart:hotpath
+func (h *eventHeap) pop() *event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // segment tracks the shared channel of one network segment as a FIFO
@@ -113,8 +174,14 @@ type Sim struct {
 	events   eventHeap
 	free     []*event // recycled event structs (see event)
 	procs    []*Proc
-	parked   chan parkReason
 	running  bool
+	// idle is how the loop tells Run that the queue drained (or, while
+	// releasing, that a task finished unwinding).
+	idle chan struct{}
+	// releasing is set while Run unwinds the tasks a deadlock left
+	// blocked: a released task panics out of park instead of re-entering
+	// the loop.
+	releasing bool
 
 	// jitterFrac > 0 scales every channel hold by a deterministic
 	// pseudo-random factor in [1-f, 1+f], modeling the paper's observation
@@ -178,7 +245,8 @@ func WithJitter(frac float64, seed uint64) Option {
 // WithMessageObserver registers fn to be called at every message delivery
 // with the message's transit record. Observers let higher layers (spmd)
 // build latency histograms without the simulator depending on them; fn
-// runs on the scheduler goroutine and must not block.
+// runs inside the event loop (on whichever goroutine holds control) and
+// must not block.
 func WithMessageObserver(fn func(Delivery)) Option {
 	return func(s *Sim) { s.onDeliver = fn }
 }
@@ -219,13 +287,6 @@ func (s *Sim) jitterMul() float64 {
 	return 1 + s.jitterFrac*(2*u-1)
 }
 
-type parkReason int
-
-const (
-	parkBlocked parkReason = iota
-	parkDone
-)
-
 // New creates a simulation over the given validated network.
 func New(net *model.Network, opts ...Option) (*Sim, error) {
 	if err := net.Validate(); err != nil {
@@ -234,7 +295,7 @@ func New(net *model.Network, opts ...Option) (*Sim, error) {
 	s := &Sim{
 		net:        net,
 		segments:   make(map[string]*segment, len(net.Segments)),
-		parked:     make(chan parkReason),
+		idle:       make(chan struct{}),
 		injStreams: make(map[[2]int]*injStream),
 	}
 	for _, seg := range net.Segments {
@@ -273,18 +334,72 @@ func (s *Sim) alloc(at float64) *event {
 // schedule queues fn at virtual time at (clamped to now).
 func (s *Sim) schedule(at float64, fn func()) {
 	ev := s.alloc(at)
-	ev.fn = fn
-	heap.Push(&s.events, ev)
+	ev.kind, ev.fn = evFunc, fn
+	s.events.push(ev)
+}
+
+// scheduleEvent queues a closure-free event of the given kind at virtual
+// time at (clamped to now).
+//
+//netpart:hotpath
+func (s *Sim) scheduleEvent(at float64, kind eventKind, p *Proc, msg *Message) {
+	ev := s.alloc(at)
+	ev.kind, ev.p, ev.msg = kind, p, msg
+	s.events.push(ev)
 }
 
 // scheduleWake queues a bare resume of p at virtual time at (clamped to
-// now) — the closure-free fast path for Advance and delivery wake-ups.
+// now) — the path of every Advance and delivery wake-up.
 //
 //netpart:hotpath
 func (s *Sim) scheduleWake(at float64, p *Proc) {
-	ev := s.alloc(at)
-	ev.wake = p
-	heap.Push(&s.events, ev)
+	s.scheduleEvent(at, evWake, p, nil)
+}
+
+// next runs the event loop on the calling goroutine until a task is due,
+// and returns it; nil means the queue drained. Message transit and
+// fault-injection closures run inline here.
+//
+//netpart:hotpath
+func (s *Sim) next() *Proc {
+	for len(s.events) > 0 {
+		ev := s.events.pop()
+		s.now = ev.at
+		// Recycle before dispatch: the action's fields are copied out, so
+		// anything the action schedules may reuse this struct immediately.
+		kind, p, msg, gen, fn := ev.kind, ev.p, ev.msg, ev.gen, ev.fn
+		*ev = event{}
+		if len(s.free) < maxFreeEvents {
+			s.free = append(s.free, ev)
+		}
+		switch kind {
+		case evWake:
+			return p
+		case evTimeout:
+			// Resume the task only if it is still in this exact wait.
+			if !p.done && p.waitGen == gen && p.waitingOn >= 0 {
+				p.waitingOn = -1
+				return p
+			}
+		case evRoute:
+			s.route(msg, p)
+		case evDeliver:
+			s.deliver(msg, p)
+		}
+		if fn != nil {
+			fn() // fault-injection retry or delayed transmission
+		}
+	}
+	return nil
+}
+
+// handoff passes control to next (nil: tells Run the queue drained).
+func (s *Sim) handoff(next *Proc) {
+	if next == nil {
+		s.idle <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
 }
 
 // Proc is one simulated task: a goroutine that advances only in virtual
@@ -300,7 +415,7 @@ type Proc struct {
 
 	// mailboxes holds queued messages per sender rank (indexed by rank;
 	// sized once in Run, when the rank count is final).
-	mailboxes [][]*Message
+	mailboxes []mailbox
 	// waitingOn is the sender rank a blocked Recv is waiting for, or -1.
 	waitingOn int
 	// waitGen increments at every blocking wait, so a RecvWithin deadline
@@ -314,6 +429,28 @@ type Proc struct {
 	received      int64
 	bytesSent     int64
 	bytesReceived int64
+}
+
+// mailbox is the FIFO of messages from one sender. Receiving advances
+// head instead of reslicing, and a drained queue rewinds to q[:0], so
+// lockstep traffic (depth 0–1) keeps reusing one backing array instead of
+// reallocating on every delivery.
+type mailbox struct {
+	q    []*Message
+	head int
+}
+
+func (mb *mailbox) empty() bool { return mb.head == len(mb.q) }
+
+// pop removes and returns the oldest message; mb must not be empty.
+func (mb *mailbox) pop() *Message {
+	msg := mb.q[mb.head]
+	mb.q[mb.head] = nil
+	mb.head++
+	if mb.head == len(mb.q) {
+		mb.q, mb.head = mb.q[:0], 0
+	}
+	return msg
 }
 
 // Rank returns the task's rank (spawn order).
@@ -347,35 +484,59 @@ func (s *Sim) Spawn(name, cluster string, body func(*Proc)) *Proc {
 		waitingOn: -1,
 	}
 	s.procs = append(s.procs, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				p.panicked = fmt.Errorf("simnet: task %s panicked: %v", p.name, r)
-			}
-			p.done = true
-			s.parked <- parkDone
-		}()
-		body(p)
-	}()
+	go s.runTask(p, body)
 	s.scheduleWake(0, p)
 	return p
 }
 
-// step resumes a parked task and waits for it to park again (or finish).
-func (s *Sim) step(p *Proc) {
-	p.resume <- struct{}{}
-	<-s.parked
+// released is the panic value that unwinds a task Run releases after a
+// deadlock; runTask recovers it.
+type released struct{}
+
+// runTask is a task's goroutine: it waits for its first dispatch, runs
+// the body, and hands control on when the body returns or panics.
+func (s *Sim) runTask(p *Proc, body func(*Proc)) {
+	<-p.resume
+	defer func() {
+		if r := recover(); r != nil && !s.releasing {
+			p.panicked = fmt.Errorf("simnet: task %s panicked: %v", p.name, r)
+		}
+		p.done = true
+		if s.releasing {
+			s.idle <- struct{}{}
+			return
+		}
+		s.handoff(s.next())
+	}()
+	body(p)
 }
 
-// park suspends the calling task and hands control back to the scheduler.
+// park suspends the calling task: it runs the event loop until a task is
+// due, keeps running if that task is itself, and otherwise resumes it and
+// waits for its own turn.
+//
+//netpart:hotpath
 func (p *Proc) park() {
-	p.sim.parked <- parkBlocked
+	s := p.sim
+	if s.releasing {
+		panic(released{}) // a deferred call of a released task must not re-enter the loop
+	}
+	next := s.next()
+	if next == p {
+		return
+	}
+	s.handoff(next)
 	<-p.resume
+	if s.releasing {
+		panic(released{})
+	}
 }
 
 // Run executes the simulation until no events remain. It returns an error
-// if any task is still blocked (deadlock) when the event queue drains.
+// if any task panicked or is still blocked (deadlock) when the event queue
+// drains. Blocked tasks are then released: each unwinds, running its
+// deferred calls, and any simulated operation a deferred call attempts
+// panics straight out again, so Run returns with no task goroutine left.
 func (s *Sim) Run() error {
 	if s.running {
 		return fmt.Errorf("simnet: Run reentered")
@@ -387,27 +548,23 @@ func (s *Sim) Run() error {
 	// slice directly with no map hashing and no growth.
 	for _, p := range s.procs {
 		if len(p.mailboxes) < len(s.procs) {
-			grown := make([][]*Message, len(s.procs))
+			grown := make([]mailbox, len(s.procs))
 			copy(grown, p.mailboxes)
 			p.mailboxes = grown
 		}
 	}
-	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		s.now = ev.at
-		// Recycle before dispatch: the action's fields are copied out, so
-		// anything the action schedules may reuse this struct immediately.
-		fn, wake := ev.fn, ev.wake
-		ev.fn, ev.wake = nil, nil
-		if len(s.free) < maxFreeEvents {
-			s.free = append(s.free, ev)
-		}
-		if wake != nil {
-			s.step(wake)
-		} else {
-			fn()
-		}
+	if first := s.next(); first != nil {
+		first.resume <- struct{}{}
+		<-s.idle
 	}
+	err := s.result()
+	s.release()
+	return err
+}
+
+// result reports the first panicked task in rank order, else the tasks
+// still blocked when the queue drained.
+func (s *Sim) result() error {
 	var stuck []string
 	for _, p := range s.procs {
 		if p.panicked != nil {
@@ -422,6 +579,22 @@ func (s *Sim) Run() error {
 		return fmt.Errorf("simnet: deadlock, %d tasks blocked: %v", len(stuck), stuck)
 	}
 	return nil
+}
+
+// release unwinds every task still blocked in park, one at a time, so a
+// deadlocked run leaves no goroutine behind, then drops whatever the
+// unwinding scheduled.
+func (s *Sim) release() {
+	s.releasing = true
+	for _, p := range s.procs {
+		if !p.done {
+			p.resume <- struct{}{}
+			<-s.idle
+		}
+	}
+	s.releasing = false
+	clear(s.events)
+	s.events = s.events[:0]
 }
 
 // Advance spends ms milliseconds of virtual time computing.
@@ -538,19 +711,25 @@ func (s *Sim) transmitClean(msg *Message, from *model.Cluster, dst *Proc) {
 	src.bytes += int64(msg.Bytes)
 
 	if from.Segment == dst.cluster.Segment {
-		s.schedule(doneSrc, func() { s.deliver(msg, dst) })
+		s.scheduleEvent(doneSrc, evDeliver, dst, msg)
 		return
 	}
 	// Store-and-forward through the router, then the destination segment.
 	routed := doneSrc + s.net.Router.PerMessageMs + s.net.Router.PerByteMs*b
-	s.schedule(routed, func() {
-		dseg := s.segments[dst.cluster.Segment]
-		dhold := (dst.cluster.MsgOverheadMs + b*(1/dseg.spec.BytesPerMs+dst.cluster.HostPerByteMs)) * s.jitterMul()
-		doneDst := dseg.acquire(s.now, dhold)
-		dseg.messages++
-		dseg.bytes += int64(msg.Bytes)
-		s.schedule(doneDst, func() { s.deliver(msg, dst) })
-	})
+	s.scheduleEvent(routed, evRoute, dst, msg)
+}
+
+// route queues msg, just out of the router, on dst's segment.
+//
+//netpart:hotpath
+func (s *Sim) route(msg *Message, dst *Proc) {
+	b := float64(msg.Bytes)
+	dseg := s.segments[dst.cluster.Segment]
+	dhold := (dst.cluster.MsgOverheadMs + b*(1/dseg.spec.BytesPerMs+dst.cluster.HostPerByteMs)) * s.jitterMul()
+	doneDst := dseg.acquire(s.now, dhold)
+	dseg.messages++
+	dseg.bytes += int64(msg.Bytes)
+	s.scheduleEvent(doneDst, evDeliver, dst, msg)
 }
 
 // acquire reserves the channel FIFO for hold ms starting no earlier than
@@ -577,7 +756,8 @@ func (s *Sim) deliver(msg *Message, dst *Proc) {
 		})
 	}
 	from := msg.From.rank
-	dst.mailboxes[from] = append(dst.mailboxes[from], msg)
+	mb := &dst.mailboxes[from]
+	mb.q = append(mb.q, msg)
 	if dst.waitingOn == from {
 		dst.waitingOn = -1
 		s.scheduleWake(s.now, dst)
@@ -588,14 +768,19 @@ func (s *Sim) deliver(msg *Message, dst *Proc) {
 // the receive CPU cost), and returns it. Messages from the same sender are
 // received in transmission order.
 func (p *Proc) Recv(src *Proc) *Message {
-	for len(p.mailboxes[src.rank]) == 0 {
+	mb := &p.mailboxes[src.rank]
+	for mb.empty() {
 		p.waitingOn = src.rank
 		p.waitGen++
 		p.park()
 	}
-	q := p.mailboxes[src.rank]
-	msg := q[0]
-	p.mailboxes[src.rank] = q[1:]
+	return p.consume(mb)
+}
+
+// consume takes the oldest message of a non-empty mailbox, charging the
+// receive CPU cost.
+func (p *Proc) consume(mb *mailbox) *Message {
+	msg := mb.pop()
 	p.received++
 	p.Advance(RecvCPUMs)
 	return msg
@@ -607,39 +792,31 @@ func (p *Proc) Recv(src *Proc) *Message {
 // it: unlike Recv, a dead sender costs bounded virtual time instead of a
 // deadlock.
 func (p *Proc) RecvWithin(src *Proc, ms float64) (*Message, bool) {
-	if len(p.mailboxes[src.rank]) > 0 {
-		return p.Recv(src), true
+	mb := &p.mailboxes[src.rank]
+	if !mb.empty() {
+		return p.consume(mb), true
 	}
 	s := p.sim
 	p.waitingOn = src.rank
 	p.waitGen++
-	gen := p.waitGen
-	s.schedule(s.now+ms, func() {
-		// Wake the task only if it is still in this exact wait.
-		if !p.done && p.waitGen == gen && p.waitingOn == src.rank {
-			p.waitingOn = -1
-			s.step(p)
-		}
-	})
+	ev := s.alloc(s.now + ms)
+	ev.kind, ev.p, ev.gen = evTimeout, p, p.waitGen
+	s.events.push(ev)
 	p.park()
-	if len(p.mailboxes[src.rank]) == 0 {
+	if mb.empty() {
 		return nil, false
 	}
-	return p.Recv(src), true
+	return p.consume(mb), true
 }
 
 // TryRecv consumes a pending message from src without blocking, returning
 // nil if none is queued.
 func (p *Proc) TryRecv(src *Proc) *Message {
-	q := p.mailboxes[src.rank]
-	if len(q) == 0 {
+	mb := &p.mailboxes[src.rank]
+	if mb.empty() {
 		return nil
 	}
-	msg := q[0]
-	p.mailboxes[src.rank] = q[1:]
-	p.received++
-	p.Advance(RecvCPUMs)
-	return msg
+	return p.consume(mb)
 }
 
 // SegmentStats reports channel usage for one segment.

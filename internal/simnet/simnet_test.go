@@ -2,9 +2,11 @@ package simnet
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"netpart/internal/model"
 )
@@ -502,5 +504,49 @@ func TestJitterReproducibleAndBounded(t *testing.T) {
 	}()
 	if a1 < clean*0.5 || a1 > clean*1.5 {
 		t.Errorf("jittered elapsed %v far from nominal %v", a1, clean)
+	}
+}
+
+// TestRunReleasesBlockedTasks checks Run leaves no goroutine behind: the
+// tasks a deadlock leaves blocked are unwound before Run returns (a
+// deferred Send in a released task must neither hang nor re-enter the
+// loop), and a panicked task's peers are released too. The error texts
+// are the usual deadlock and panic reports.
+func TestRunReleasesBlockedTasks(t *testing.T) {
+	start := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		s, _ := New(model.PaperTestbed())
+		var procs [2]*Proc
+		procs[0] = s.Spawn("a", model.Sparc2Cluster, func(p *Proc) {
+			defer p.Send(procs[1], 10, nil)
+			p.Recv(procs[1])
+		})
+		procs[1] = s.Spawn("b", model.IPCCluster, func(p *Proc) {
+			p.Advance(1)
+			p.Recv(procs[0])
+		})
+		err := s.Run()
+		want := "simnet: deadlock, 2 tasks blocked: [a (recv from rank 1) b (recv from rank 0)]"
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: Run() = %v, want %q", i, err, want)
+		}
+	}
+	s, _ := New(model.PaperTestbed())
+	var boomer *Proc
+	s.Spawn("waiter", model.Sparc2Cluster, func(p *Proc) { p.Recv(boomer) })
+	boomer = s.Spawn("boomer", model.Sparc2Cluster, func(p *Proc) {
+		p.Advance(2)
+		panic("boom")
+	})
+	if err := s.Run(); err == nil || err.Error() != "simnet: task boomer panicked: boom" {
+		t.Fatalf("Run() = %v, want the boomer panic", err)
+	}
+	// Released goroutines exit right after signalling Run; give the
+	// runtime a moment to retire them.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > start {
+		t.Fatalf("%d goroutines after the runs, %d before: blocked tasks leaked", got, start)
 	}
 }
