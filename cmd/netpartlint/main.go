@@ -1,9 +1,10 @@
 // netpartlint is the project's static-analysis gate: it runs the
-// internal/analysis suite — determinism, hotpath, allocfree, msgproto,
-// poollifetime, poolflow, concsafety, units, obsnil, errcheck — over the
-// module and fails the build on any violation. The
-// analyzers machine-check the invariants the partitioner's correctness
-// rests on (see DESIGN.md §7 and the README's "Static analysis" section);
+// internal/analysis suite — determinism, allocfree, msgproto, poolflow,
+// concsafety, units, obsnil, errcheck — over the module and fails the
+// build on any violation. Each analyzer owns one contract, so no finding
+// is reported twice. The analyzers machine-check the invariants the
+// partitioner's correctness rests on (see DESIGN.md §7 and the README's
+// "Static analysis" section);
 // CI runs `go run ./cmd/netpartlint ./...` as a hard gate.
 //
 // Usage:

@@ -11,8 +11,9 @@
 //
 //	//netpart:deterministic   (package)  output must not depend on map order,
 //	                                     wall-clock time, or global rand
-//	//netpart:hotpath         (func)     body must not allocate outside
-//	                                     nil/cap-guarded slow paths
+//	//netpart:hotpath         (func)     neither the body nor its call tree
+//	                                     may allocate outside nil/cap-guarded
+//	                                     slow paths
 //	//netpart:nilsafe         (package)  exported pointer methods must
 //	                                     nil-guard their receiver
 //	//netpart:nilhook         (type)     calls through this interface must be
@@ -44,8 +45,9 @@
 //	//nolint:netpart reason=<why the invariant does not apply here>
 //
 // or scoped to one analyzer with //nolint:netpart/<name>. A suppression
-// whose reason is missing or empty is itself a diagnostic: unexplained
-// suppressions are how invariants rot.
+// whose reason is missing or empty, or whose scope names no analyzer of the
+// suite, is itself a diagnostic: unexplained suppressions are how
+// invariants rot, and a waiver scoped to a retired analyzer waives nothing.
 package analysis
 
 import (
@@ -54,6 +56,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -117,7 +120,16 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full netpartlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, HotPath, AllocFree, MsgProto, PoolLifetime, PoolFlow, ConcSafety, Units, ObsNil, ErrCheck}
+	return []*Analyzer{Determinism, AllocFree, MsgProto, PoolFlow, ConcSafety, Units, ObsNil, ErrCheck}
+}
+
+// analyzerNames lists the suite's analyzer names in reporting order.
+func analyzerNames() []string {
+	var names []string
+	for _, a := range Analyzers() {
+		names = append(names, a.Name)
+	}
+	return names
 }
 
 // Check runs the given analyzers over one loaded package and returns the
@@ -220,7 +232,8 @@ func parseSuppressions(fset *token.FileSet, file *ast.File) map[int][]suppressio
 
 // applySuppressions marks diagnostics covered by a well-formed
 // //nolint:netpart comment on the same line as Suppressed, and reports
-// malformed suppressions (empty reason) as diagnostics in their own right.
+// malformed suppressions (empty reason, or a scope that names no analyzer
+// of the suite) as diagnostics in their own right.
 func applySuppressions(pkg *Package, diags []Diagnostic) []Diagnostic {
 	byFile := map[string]map[int][]suppression{}
 	var malformed []Diagnostic
@@ -238,6 +251,13 @@ func applySuppressions(pkg *Package, diags []Diagnostic) []Diagnostic {
 						Analyzer: "nolint",
 						Pos:      s.pos,
 						Message:  "suppression without a reason: write //nolint:netpart reason=<why this line may break the invariant>",
+					})
+				}
+				if s.analyzer != "" && !slices.Contains(analyzerNames(), s.analyzer) {
+					malformed = append(malformed, Diagnostic{
+						Analyzer: "nolint",
+						Pos:      s.pos,
+						Message:  fmt.Sprintf("suppression scoped to unknown analyzer %q waives nothing: scope it to one of %s, or drop the scope", s.analyzer, strings.Join(analyzerNames(), ", ")),
 					})
 				}
 			}

@@ -2,29 +2,57 @@ package analysis_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"netpart/internal/analysis"
 )
 
+// module is the whole module loaded once per test binary: typechecking
+// every package from source and solving the call graph dominates this
+// package's test time, and every whole-tree test reads the same result.
+var module struct {
+	once sync.Once
+	pkgs []*analysis.Package
+	ip   *analysis.Interproc
+	err  error
+}
+
+// loadModule returns the shared whole-module load and its call graph,
+// loading it on first use. Under -short it skips the calling test.
+func loadModule(t *testing.T) ([]*analysis.Package, *analysis.Interproc) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("typechecks the whole module from source")
+	}
+	module.once.Do(func() {
+		root, modPath, err := analysis.FindModuleRoot(".")
+		if err != nil {
+			module.err = err
+			return
+		}
+		l := analysis.NewLoader(root, modPath)
+		if module.pkgs, module.err = l.Load("./..."); module.err == nil {
+			module.ip = l.Interproc()
+		}
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.pkgs, module.ip
+}
+
 // TestModuleLoadsAndIsLintClean loads the whole module through the
 // source-level loader and asserts two invariants at once: every package
 // typechecks (the loader is trustworthy), and the full analyzer suite
 // reports zero violations on the tree as committed — the same gate
-// cmd/netpartlint enforces in CI, here kept under plain `go test`.
+// cmd/netpartlint enforces in CI, here kept under plain `go test`. The
+// suite includes allocfree, so every //netpart:hotpath function is proven
+// allocation-free through its whole call tree; the annotation floor keeps
+// that proof honest — if the annotations were ever stripped, allocfree
+// would pass vacuously and this fails instead.
 func TestModuleLoadsAndIsLintClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module from source")
-	}
-	root, modPath, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := analysis.NewLoader(root, modPath)
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs, _ := loadModule(t)
 	if len(pkgs) < 25 {
 		t.Fatalf("loaded %d packages, expected the full module (>= 25)", len(pkgs))
 	}
@@ -40,6 +68,9 @@ func TestModuleLoadsAndIsLintClean(t *testing.T) {
 			t.Errorf("package %s missing from ./... expansion", must)
 		}
 	}
+	if hot := hotpathAnnotations(pkgs); hot < 5 {
+		t.Errorf("found %d //netpart:hotpath annotations module-wide, want >= 5 (allocfree would be vacuous)", hot)
+	}
 	for _, pkg := range pkgs {
 		diags, err := analysis.Check(pkg, analysis.Analyzers())
 		if err != nil {
@@ -51,26 +82,31 @@ func TestModuleLoadsAndIsLintClean(t *testing.T) {
 	}
 }
 
-// TestModuleIsAllocfreeClean is the interprocedural zero-alloc gate run
-// whole-tree under plain `go test`: every //netpart:hotpath function in
-// the module must prove allocation-free through its entire call tree, and
-// the wire/lockstep protocols must be symmetric. The hotpath-count floor
-// keeps the test honest — if the annotations were ever stripped, the
-// analyzers would pass vacuously and this fails instead.
+// TestModuleIsAllocfreeClean runs the interprocedural proofs alone over
+// the shared module load: every //netpart:hotpath function must prove
+// allocation-free through its entire call tree, and the wire/lockstep
+// protocols must be symmetric. It is the same gate as
+// `netpartlint -analyzers allocfree,msgproto`, so a finding here names
+// the proof that failed without the rest of the suite around it.
 func TestModuleIsAllocfreeClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module from source")
-	}
-	root, modPath, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := analysis.NewLoader(root, modPath)
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatal(err)
+	pkgs, _ := loadModule(t)
+	if hot := hotpathAnnotations(pkgs); hot < 5 {
+		t.Errorf("found %d //netpart:hotpath annotations module-wide, want >= 5 (gate would be vacuous)", hot)
 	}
 	subset := []*analysis.Analyzer{analysis.AllocFree, analysis.MsgProto}
+	for _, pkg := range pkgs {
+		diags, err := analysis.Check(pkg, subset)
+		if err != nil {
+			t.Fatalf("%s: %v", pkg.Path, err)
+		}
+		for _, d := range diags {
+			t.Errorf("hot paths must stay provably allocation-free: %s", d)
+		}
+	}
+}
+
+// hotpathAnnotations counts the //netpart:hotpath comments in pkgs.
+func hotpathAnnotations(pkgs []*analysis.Package) int {
 	hot := 0
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -82,15 +118,6 @@ func TestModuleIsAllocfreeClean(t *testing.T) {
 				}
 			}
 		}
-		diags, err := analysis.Check(pkg, subset)
-		if err != nil {
-			t.Fatalf("%s: %v", pkg.Path, err)
-		}
-		for _, d := range diags {
-			t.Errorf("hot paths must stay provably allocation-free: %s", d)
-		}
 	}
-	if hot < 5 {
-		t.Errorf("found %d //netpart:hotpath annotations module-wide, want >= 5 (gate would be vacuous)", hot)
-	}
+	return hot
 }

@@ -4,18 +4,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// PoolFlow is the path-sensitive successor to poollifetime's syntactic
-// lifetime tracking: it runs the CFG + dataflow engine over each function
-// body and reports a use-after-put or double-put exactly when some
-// execution path realizes it. That direction matters both ways relative to
-// the old analyzer:
+// PoolFlow enforces the sync.Pool buffer rules the mmps transport
+// documents on its bufPool. It has a structural and a temporal half.
+//
+// Structurally, direct (*sync.Pool).Get/Put calls are allowed only inside
+// accessor functions (name starting with get/put), which is where the
+// box/length/zeroing conventions live (checkPoolAccessors). Everything
+// else must go through the accessor pair.
+//
+// Temporally, it runs the CFG + dataflow engine over each function body
+// and reports a use-after-put or double-put exactly when some execution
+// path realizes it:
 //
 //   - no false negatives at joins: a Put in every arm of an if poisons the
-//     code after the join (the old per-branch clone forgot the Put), and a
-//     Put at the bottom of a loop body poisons the next iteration through
-//     the back edge;
+//     code after the join, and a Put at the bottom of a loop body poisons
+//     the next iteration through the back edge;
 //
 //   - no false positives after re-get: reassigning the variable from the
 //     pool on one path revives it on that path only, and a Put in one arm
@@ -30,12 +36,9 @@ import (
 // start clean (delayed puts run at another time), and a deferred put is
 // modeled at function exit, where it double-puts if the buffer was
 // already recycled on some path.
-//
-// The accessor-discipline rule (direct sync.Pool.Get/Put only inside
-// get*/put* accessors) stays in poollifetime.
 var PoolFlow = &Analyzer{
 	Name: "poolflow",
-	Doc:  "path-sensitive sync.Pool lifetime: use-after-put and double-put on some reachable path",
+	Doc:  "sync.Pool discipline: Get/Put only in get*/put* accessors, and no use-after-put or double-put on any reachable path",
 	Run:  runPoolFlow,
 }
 
@@ -47,6 +50,9 @@ const (
 )
 
 func runPoolFlow(pass *Pass) error {
+	for _, fd := range enclosingFuncDecls(pass.Files) {
+		checkPoolAccessors(pass, fd)
+	}
 	putters := putAccessors(pass)
 	for _, fb := range funcBodies(pass.Files) {
 		checkPoolFlowFunc(pass, putters, fb)
@@ -312,4 +318,58 @@ func putTargetCall(info *types.Info, putters map[types.Object]bool, call *ast.Ca
 		arg = ast.Unparen(u.X)
 	}
 	return identObj(info, arg)
+}
+
+// putAccessors collects this package's pool-put accessor functions: the
+// ones whose bodies call (*sync.Pool).Put directly (mmps.putBuf). Matching
+// by behavior rather than by name keeps unrelated Put* helpers (say,
+// binary.BigEndian.PutUint32) out of the lifetime tracking.
+func putAccessors(pass *Pass) map[types.Object]bool {
+	putters := map[types.Object]bool{}
+	for _, fd := range enclosingFuncDecls(pass.Files) {
+		callsPut := false
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok &&
+					sel.Sel.Name == "Put" && isSyncPool(pass.TypesInfo.TypeOf(sel.X)) {
+					callsPut = true
+				}
+			}
+			return !callsPut
+		})
+		if callsPut {
+			if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil {
+				putters[obj] = true
+			}
+		}
+	}
+	return putters
+}
+
+// checkPoolAccessors flags direct sync.Pool Get/Put outside get*/put*
+// functions.
+func checkPoolAccessors(pass *Pass, fd *ast.FuncDecl) {
+	name := strings.ToLower(fd.Name.Name)
+	if strings.HasPrefix(name, "get") || strings.HasPrefix(name, "put") {
+		return
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Get" && sel.Sel.Name != "Put") {
+			return true
+		}
+		if isSyncPool(pass.TypesInfo.TypeOf(sel.X)) {
+			pass.Reportf(call.Pos(), "direct sync.Pool.%s outside a get*/put* accessor; route through the accessor pair so lifetime conventions stay in one place", sel.Sel.Name)
+		}
+		return true
+	})
+}
+
+// isSyncPool reports whether t is sync.Pool or *sync.Pool.
+func isSyncPool(t types.Type) bool {
+	return isSyncNamed(t, "Pool")
 }

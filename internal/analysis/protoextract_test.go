@@ -10,21 +10,6 @@ import (
 	"netpart/internal/analysis/protomc"
 )
 
-// loadModule loads the whole module and its call graph once per test.
-func loadModule(t *testing.T) ([]*analysis.Package, *analysis.Interproc) {
-	t.Helper()
-	root, modPath, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := analysis.NewLoader(root, modPath)
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkgs, l.Interproc()
-}
-
 // haloProto names the stencil's one mmps halo exchange: the lockstep
 // cycle loop every RunLive* and RunLiveAdaptive rank runs.
 const haloProto = "stencil.haloCycles"
@@ -37,9 +22,6 @@ const haloProto = "stencil.haloCycles"
 // exchange and the FT envelope — so no runtime can grow a second,
 // unverified halo exchange around the codec.
 func TestExtractRealProtocols(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module from source")
-	}
 	pkgs, ip := loadModule(t)
 	protos, diags := analysis.ExtractProtos(pkgs, ip)
 	for _, d := range diags {
@@ -164,9 +146,6 @@ func extractOne(t *testing.T, name string) *protomc.Proto {
 // transport semantics. The round has no data-dependent unknowns: its loop
 // bounds are affine in P and its only branch is the rank-0 hub split.
 func TestRepartRoundProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module from source")
-	}
 	proto := extractOne(t, "repart.Round")
 	if len(proto.Params) != 0 {
 		t.Fatalf("repart.Round extracted %d shared parameters, want 0: %+v", len(proto.Params), proto.Params)
@@ -199,9 +178,6 @@ func TestRepartRoundProtocol(t *testing.T) {
 // deadlocks on an unbuffered transport (TestUnpairedHaloDeadlocks pins
 // that counterexample), and this test is the proof the rewrite closed it.
 func TestHaloExchangeProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module from source")
-	}
 	proto := extractOne(t, haloProto)
 	if len(proto.Params) != 1 {
 		t.Fatalf("%s extracted %d shared parameters, want 1 (trip count): %+v",

@@ -16,23 +16,27 @@ func TestDeterminism(t *testing.T) {
 	antest.Run(t, []*analysis.Analyzer{analysis.Determinism}, fixture("determinism"))
 }
 
+// TestHotPath pins allocfree's direct-site rules: each allocating
+// construct in a hot body is reported once, guarded slow paths are not.
 func TestHotPath(t *testing.T) {
-	antest.Run(t, []*analysis.Analyzer{analysis.HotPath}, fixture("hotpath"))
+	antest.Run(t, []*analysis.Analyzer{analysis.AllocFree}, fixture("hotpath"))
 }
 
-// TestAllocFree runs hotpath and allocfree together: the fixture pins the
-// division of labor (direct sites → hotpath, call-derived sites →
-// allocfree with provenance chains) and the scoped-suppression interplay.
+// TestAllocFree pins allocfree's interprocedural half: call-derived sites
+// with provenance chains, recursion, interface dispatch, and waivers at
+// the origin.
 func TestAllocFree(t *testing.T) {
-	antest.Run(t, []*analysis.Analyzer{analysis.HotPath, analysis.AllocFree}, fixture("allocfree"))
+	antest.Run(t, []*analysis.Analyzer{analysis.AllocFree}, fixture("allocfree"))
 }
 
 func TestMsgProto(t *testing.T) {
 	antest.Run(t, []*analysis.Analyzer{analysis.MsgProto}, fixture("msgproto"))
 }
 
+// TestPoolLifetime pins poolflow's accessor rule: direct sync.Pool
+// Get/Put belongs inside get*/put* accessors.
 func TestPoolLifetime(t *testing.T) {
-	antest.Run(t, []*analysis.Analyzer{analysis.PoolLifetime}, fixture("poollifetime"))
+	antest.Run(t, []*analysis.Analyzer{analysis.PoolFlow}, fixture("poollifetime"))
 }
 
 func TestPoolFlow(t *testing.T) {
@@ -58,7 +62,7 @@ func TestErrCheck(t *testing.T) {
 // TestSuppression runs the full suite so the //nolint:netpart machinery is
 // exercised exactly as cmd/netpartlint runs it: justified suppressions
 // silence findings, scoped suppressions only silence their analyzer, and a
-// missing reason is a finding in its own right.
+// missing reason or an unknown scope is a finding in its own right.
 func TestSuppression(t *testing.T) {
 	antest.Run(t, analysis.Analyzers(), fixture("nolint"))
 }

@@ -24,14 +24,13 @@ import (
 // Three filters keep the summaries aligned with the analyzers' contracts:
 //
 //   - guarded slow paths (nil-/cap-guard, isGuardedSlowPath) are excluded
-//     from allocation facts, exactly as in the intraprocedural hotpath
-//     analyzer — but not from wall-clock facts, because a guard sanctions
-//     allocation, not nondeterminism;
+//     from allocation facts — but not from wall-clock facts, because a
+//     guard sanctions allocation, not nondeterminism;
 //   - fmt.Errorf / errors.New directly inside a return statement is the
 //     failure path, never the steady state, and contributes nothing;
 //   - a site whose line carries a well-formed //nolint:netpart[/allocfree|
-//     /hotpath|/determinism] suppression is dropped at the origin, so one
-//     reasoned waiver stops the fact from resurfacing in every caller.
+//     /determinism] suppression is dropped at the origin, so one reasoned
+//     waiver stops the fact from resurfacing in every caller.
 //
 // Stdlib calls have no loaded bodies, so they are modeled: a small
 // whitelist of provably non-allocating packages and methods (math,
@@ -62,11 +61,6 @@ type Site struct {
 	Desc string
 	// Callee is the resolved target when the fact arrives through a call.
 	Callee *types.Func
-	// ViaCall marks facts introduced at a call site (resolved, indirect,
-	// or modeled stdlib) as opposed to direct allocation expressions; the
-	// intraprocedural hotpath analyzer owns the latter, allocfree the
-	// former.
-	ViaCall bool
 	// Inner is the callee-side site this call reaches (nil for leaves).
 	Inner *Site
 }
@@ -99,7 +93,7 @@ func (ip *Interproc) scanDirect(node *FuncNode) {
 	info := node.Pkg.Info
 	var walk func(root ast.Node, guarded bool)
 	walk = func(root ast.Node, guarded bool) {
-		walkStack(root, func(n ast.Node, stack []ast.Node) bool {
+		ast.Inspect(root, func(n ast.Node) bool {
 			if ifs, ok := n.(*ast.IfStmt); ok && !guarded && isGuardedSlowPath(ifs) {
 				if ifs.Init != nil {
 					walk(ifs.Init, guarded)
@@ -116,7 +110,7 @@ func (ip *Interproc) scanDirect(node *FuncNode) {
 			}
 			switch x := n.(type) {
 			case *ast.CallExpr:
-				ip.scanDirectCall(node, x, stack, info)
+				ip.scanDirectCall(node, x, info)
 			case *ast.UnaryExpr:
 				if x.Op == token.AND {
 					if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
@@ -124,8 +118,8 @@ func (ip *Interproc) scanDirect(node *FuncNode) {
 					}
 				}
 			case *ast.FuncLit:
-				if capt := capturedVarIn(info, node.Decl, x); capt != "" {
-					ip.addDirectAlloc(node, x.Pos(), "closure capturing "+strings.TrimSpace(capt)+" allocates")
+				if capt := capturedVar(info, node.Decl, x); capt != "" {
+					ip.addDirectAlloc(node, x.Pos(), "closure capturing "+capt+" allocates")
 				}
 			}
 			return true
@@ -137,7 +131,7 @@ func (ip *Interproc) scanDirect(node *FuncNode) {
 
 // scanDirectCall records the allocation behavior of builtin calls and
 // explicit interface conversions (call edges are handled by the solve).
-func (ip *Interproc) scanDirectCall(node *FuncNode, call *ast.CallExpr, stack []ast.Node, info *types.Info) {
+func (ip *Interproc) scanDirectCall(node *FuncNode, call *ast.CallExpr, info *types.Info) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && isBuiltin(info, id) {
 		switch id.Name {
 		case "make":
@@ -146,7 +140,7 @@ func (ip *Interproc) scanDirectCall(node *FuncNode, call *ast.CallExpr, stack []
 			ip.addDirectAlloc(node, call.Pos(), "new allocates")
 		case "append":
 			if len(call.Args) > 0 {
-				ip.scanDirectAppend(node, call, stack, info)
+				ip.scanDirectAppend(node, call, info)
 			}
 		}
 		return
@@ -165,10 +159,11 @@ func (ip *Interproc) scanDirectCall(node *FuncNode, call *ast.CallExpr, stack []
 	}
 }
 
-// scanDirectAppend applies hotpath's unsized-local-append rule: appends
-// into caller-owned, field-held, or make-sized storage amortize; a local
-// declared without capacity does not.
-func (ip *Interproc) scanDirectAppend(node *FuncNode, call *ast.CallExpr, stack []ast.Node, info *types.Info) {
+// scanDirectAppend applies the unsized-append rule: appends into
+// caller-owned, field-held, or make-sized storage amortize; a local
+// declared without capacity, a slice literal, and a nil conversion like
+// []T(nil) start a fresh backing array on every call.
+func (ip *Interproc) scanDirectAppend(node *FuncNode, call *ast.CallExpr, info *types.Info) {
 	switch dst := ast.Unparen(call.Args[0]).(type) {
 	case *ast.SliceExpr:
 		return // reuse idiom: append(buf[:0], ...)
@@ -177,20 +172,129 @@ func (ip *Interproc) scanDirectAppend(node *FuncNode, call *ast.CallExpr, stack 
 		if obj == nil {
 			return
 		}
-		decl := localSliceDecl([]ast.Node{node.Decl}, obj)
+		decl := localSliceDecl(node.Decl, obj)
 		if decl == nil || declHasCapacity(info, decl, obj) {
 			return
 		}
 		ip.addDirectAlloc(node, call.Pos(), "append to unsized local slice "+dst.Name+" grows")
-	default:
-		if _, isLit := ast.Unparen(call.Args[0]).(*ast.CompositeLit); isLit {
-			ip.addDirectAlloc(node, call.Pos(), "append to a fresh slice literal allocates")
+	case *ast.CompositeLit:
+		ip.addDirectAlloc(node, call.Pos(), "append to a fresh slice literal allocates")
+	case *ast.CallExpr:
+		if isNilConversion(info, dst) {
+			ip.addDirectAlloc(node, call.Pos(), "append to a fresh nil-converted slice allocates")
 		}
 	}
 }
 
+// isNilConversion reports whether call converts the untyped nil to a type,
+// as in []T(nil).
+func isNilConversion(info *types.Info, call *ast.CallExpr) bool {
+	return len(call.Args) == 1 && info.Types[call.Fun].IsType() && info.Types[call.Args[0]].IsNil()
+}
+
+// localSliceDecl finds the declaration node of obj inside the function
+// declaration root (nil when obj is not a local of that function, or is
+// one of its parameters: those are caller-owned).
+func localSliceDecl(root *ast.FuncDecl, obj types.Object) ast.Node {
+	if obj.Pos() < root.Pos() || obj.Pos() > root.End() {
+		return nil // declared outside this function
+	}
+	var decl ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch d := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range d.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && id.Pos() == obj.Pos() {
+					decl = d
+					return false
+				}
+			}
+		case *ast.ValueSpec:
+			for _, id := range d.Names {
+				if id.Pos() == obj.Pos() {
+					decl = d
+					return false
+				}
+			}
+		case *ast.Field:
+			for _, id := range d.Names {
+				if id.Pos() == obj.Pos() {
+					decl = d // parameter or receiver
+					return false
+				}
+			}
+		}
+		return decl == nil
+	})
+	if _, isField := decl.(*ast.Field); isField {
+		return nil // parameters are caller-owned
+	}
+	return decl
+}
+
+// declHasCapacity reports whether the local declaration gives the slice
+// usable capacity: a make call, a call result (assumed sized), or a
+// reslice of existing storage. `var x []T`, `x := []T{}` and
+// `x := []T(nil)` do not.
+func declHasCapacity(info *types.Info, decl ast.Node, obj types.Object) bool {
+	var rhs ast.Expr
+	switch d := decl.(type) {
+	case *ast.AssignStmt:
+		for i, lhs := range d.Lhs {
+			if id, ok := lhs.(*ast.Ident); ok && id.Pos() == obj.Pos() && i < len(d.Rhs) {
+				rhs = d.Rhs[i]
+			}
+		}
+	case *ast.ValueSpec:
+		for i, id := range d.Names {
+			if id.Pos() == obj.Pos() && i < len(d.Values) {
+				rhs = d.Values[i]
+			}
+		}
+	}
+	if rhs == nil {
+		return false // var x []T — no storage
+	}
+	switch r := ast.Unparen(rhs).(type) {
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(r.Fun).(*ast.Ident); ok && id.Name == "make" && isBuiltin(info, id) {
+			return len(r.Args) >= 2 // make with a size or capacity
+		}
+		if tv, ok := info.Types[r.Fun]; ok && tv.IsType() {
+			return false // conversion like []T(nil)
+		}
+		return true // result of a function call: assume sized scratch
+	case *ast.SliceExpr, *ast.IndexExpr, *ast.SelectorExpr, *ast.Ident:
+		return true // view of existing storage
+	case *ast.CompositeLit:
+		return len(r.Elts) > 0 // non-empty literal at least holds its elements
+	}
+	return false
+}
+
+// capturedVar returns the name of a variable the closure captures from its
+// enclosing function, or "".
+func capturedVar(info *types.Info, fd *ast.FuncDecl, lit *ast.FuncLit) string {
+	name := ""
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok || name != "" {
+			return name == ""
+		}
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || v.IsField() {
+			return true
+		}
+		if v.Pos() >= fd.Pos() && v.Pos() < lit.Pos() {
+			name = v.Name()
+		}
+		return true
+	})
+	return name
+}
+
 func (ip *Interproc) addDirectAlloc(node *FuncNode, pos token.Pos, desc string) {
-	if ip.suppressedAt(pos, "allocfree") || ip.suppressedAt(pos, "hotpath") {
+	if ip.suppressedAt(pos, "allocfree") {
 		return
 	}
 	node.DirectAllocs = appendSite(node.DirectAllocs, &Site{Pos: pos, Desc: desc})
@@ -244,11 +348,6 @@ func (ip *Interproc) scanParamEscapes(node *FuncNode) {
 	})
 }
 
-// capturedVarIn is capturedVar generalized to any enclosing declaration.
-func capturedVarIn(info *types.Info, fd *ast.FuncDecl, lit *ast.FuncLit) string {
-	return capturedVar(info, fd, lit)
-}
-
 // --- the bottom-up solve ---
 
 // solve seeds every node with its intraprocedural facts and then runs the
@@ -289,20 +388,20 @@ func (ip *Interproc) resolveNode(node *FuncNode) bool {
 	waived := ip.wallclockWaived(node)
 	for _, cs := range node.Calls {
 		pos := cs.Call.Pos()
-		allocOK := !cs.Guarded && !ip.suppressedAt(pos, "allocfree") && !ip.suppressedAt(pos, "hotpath")
+		allocOK := !cs.Guarded && !ip.suppressedAt(pos, "allocfree")
 		detOK := !waived && !ip.suppressedAt(pos, "determinism")
 		if cs.PureCallback {
 			continue
 		}
 		if cs.IndirectDesc != "" {
 			if allocOK {
-				s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "indirect call through " + cs.IndirectDesc + " (unresolved, assumed allocating)", ViaCall: true})
+				s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "indirect call through " + cs.IndirectDesc + " (unresolved, assumed allocating)"})
 			}
 			continue
 		}
 		if cs.Interface && len(cs.Targets) == 0 {
 			if allocOK {
-				s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "interface call with no in-module implementation (assumed allocating)", ViaCall: true})
+				s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "interface call with no in-module implementation (assumed allocating)"})
 			}
 			continue
 		}
@@ -313,13 +412,13 @@ func (ip *Interproc) resolveNode(node *FuncNode) bool {
 					continue // same-SCC member not yet seeded this round
 				}
 				if allocOK && len(ts.Allocs) > 0 {
-					s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "call to " + funcLabel(target), Callee: target, Inner: ts.Allocs[0], ViaCall: true})
+					s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "call to " + funcLabel(target), Callee: target, Inner: ts.Allocs[0]})
 				}
 				if detOK && len(ts.Clock) > 0 {
-					s.Clock = appendSite(s.Clock, &Site{Pos: pos, Desc: "call to " + funcLabel(target), Callee: target, Inner: ts.Clock[0], ViaCall: true})
+					s.Clock = appendSite(s.Clock, &Site{Pos: pos, Desc: "call to " + funcLabel(target), Callee: target, Inner: ts.Clock[0]})
 				}
 				if detOK && len(ts.Rand) > 0 {
-					s.Rand = appendSite(s.Rand, &Site{Pos: pos, Desc: "call to " + funcLabel(target), Callee: target, Inner: ts.Rand[0], ViaCall: true})
+					s.Rand = appendSite(s.Rand, &Site{Pos: pos, Desc: "call to " + funcLabel(target), Callee: target, Inner: ts.Rand[0]})
 				}
 				continue
 			}
@@ -342,14 +441,14 @@ func (ip *Interproc) mergeStdlib(s *Summary, cs *Callsite, fn *types.Func, alloc
 	case "time":
 		if nondeterministicTimeFuncs[name] {
 			if detOK {
-				s.Clock = appendSite(s.Clock, &Site{Pos: pos, Desc: "time." + name, ViaCall: true})
+				s.Clock = appendSite(s.Clock, &Site{Pos: pos, Desc: "time." + name})
 			}
 			return
 		}
 	case "math/rand", "math/rand/v2":
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil && !seededRandConstructors[name] {
 			if detOK {
-				s.Rand = appendSite(s.Rand, &Site{Pos: pos, Desc: "global " + pkg[strings.LastIndex(pkg, "/")+1:] + "." + name, ViaCall: true})
+				s.Rand = appendSite(s.Rand, &Site{Pos: pos, Desc: "global " + pkg[strings.LastIndex(pkg, "/")+1:] + "." + name})
 			}
 			return
 		}
@@ -365,7 +464,7 @@ func (ip *Interproc) mergeStdlib(s *Summary, cs *Callsite, fn *types.Func, alloc
 	if pkg == "fmt" && strings.HasPrefix(name, "Sprint") && cs.InPanic {
 		return // panic(fmt.Sprintf(...)): the failure path, never steady state
 	}
-	s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "call to " + funcLabel(fn) + " (stdlib, not modeled allocation-free)", ViaCall: true})
+	s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "call to " + funcLabel(fn) + " (stdlib, not modeled allocation-free)"})
 }
 
 // nonallocStdPkgs are packages whose exported functions and methods never

@@ -1,8 +1,8 @@
 // Package allocfree is the fixture for the interprocedural zero-allocation
-// prover. The division of labor under test: hotpath reports direct
-// allocation sites in the annotated body; allocfree reports allocations
-// that arrive THROUGH calls, with a provenance chain down to the
-// originating expression, and never re-reports hotpath's direct sites.
+// prover: allocfree reports every allocation in a hot function's call
+// tree exactly once — a direct site in the annotated body at the site, an
+// allocation that arrives THROUGH a call at the call site, with a
+// provenance chain down to the originating expression.
 package allocfree
 
 import "fmt"
@@ -28,12 +28,11 @@ func sumVia(n int) float64 {
 	return s
 }
 
-// hotDirect: a direct site in the hot body is hotpath's territory;
-// allocfree must stay silent here (no double report).
+// hotDirect: a direct site in the hot body is reported at the site.
 //
 //netpart:hotpath
 func (t *table) hotDirect(n int) []float64 {
-	return make([]float64, n) // want `make allocates on the hot path`
+	return make([]float64, n) // want `hot path .*hotDirect reaches an allocation: make allocates`
 }
 
 // hotCalls reaches buildBuf's make through sumVia: one allocfree finding
@@ -79,12 +78,11 @@ func (t *table) hotWaived(n int) {
 }
 
 // hotScoped: a //nolint:netpart/allocfree on the hot body's own site
-// waives only the interprocedural analyzer — the intraprocedural hotpath
-// finding stays live.
+// waives the direct site like any other: no finding.
 //
 //netpart:hotpath
 func (t *table) hotScoped(n int) []float64 {
-	return make([]float64, n) //nolint:netpart/allocfree reason=scoped waiver; hotpath still owns the direct site // want `make allocates on the hot path`
+	return make([]float64, n) //nolint:netpart/allocfree reason=fixture stand-in for a waived direct site
 }
 
 // walk and descend are mutually recursive; the SCC fixpoint must converge
@@ -118,4 +116,24 @@ func (boxy) size(n int) []float64 { return make([]float64, n) }
 //netpart:hotpath
 func (t *table) hotIface(s sizer, n int) {
 	t.buf = s.size(n) // want `hot path .*hotIface reaches an allocation: .*size → make allocates`
+}
+
+// cloneRow copies through a nil-converted slice: every call grows a fresh
+// backing array.
+func cloneRow(xs []float64) []float64 {
+	return append([]float64(nil), xs...)
+}
+
+// hotNilConv copies through a nil-converted slice in the hot body itself.
+//
+//netpart:hotpath
+func (t *table) hotNilConv() {
+	t.rows = append([]float64(nil), t.buf...) // want `hot path .*hotNilConv reaches an allocation: append to a fresh nil-converted slice allocates`
+}
+
+// hotViaNilConv reaches cloneRow's nil-converted append through a call.
+//
+//netpart:hotpath
+func (t *table) hotViaNilConv() {
+	t.rows = cloneRow(t.buf) // want `hot path .*hotViaNilConv reaches an allocation: .*cloneRow → append to a fresh nil-converted slice allocates`
 }

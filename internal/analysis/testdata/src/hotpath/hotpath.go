@@ -1,4 +1,4 @@
-// Package hotpath is the fixture for the zero-allocation hot-path analyzer.
+// Package hotpath is the fixture for allocfree's direct-site allocation rules.
 package hotpath
 
 import "fmt"
@@ -11,7 +11,7 @@ type codec struct {
 //
 //netpart:hotpath
 func (c *codec) hotSum(xs []float64) float64 {
-	tmp := make([]float64, len(xs)) // want `make allocates on the hot path`
+	tmp := make([]float64, len(xs)) // want `hot path .*hotSum reaches an allocation: make allocates \(hotpath\.go:14\)`
 	copy(tmp, xs)
 	var s float64
 	for _, v := range tmp {
@@ -24,7 +24,7 @@ func (c *codec) hotSum(xs []float64) float64 {
 //
 //netpart:hotpath
 func (c *codec) hotLog(v float64) {
-	fmt.Println("value", v) // want `fmt\.Println allocates`
+	fmt.Println("value", v) // want `hot path .*hotLog reaches an allocation: call to fmt\.Println \(stdlib`
 }
 
 // hotGrow appends through an unsized local.
@@ -33,7 +33,7 @@ func (c *codec) hotLog(v float64) {
 func (c *codec) hotGrow(xs []float64) {
 	var local []float64
 	for _, v := range xs {
-		local = append(local, v) // want `append to unsized local slice "local"`
+		local = append(local, v) // want `hot path .*hotGrow reaches an allocation: append to unsized local slice local grows`
 	}
 	c.scratch = local
 }
@@ -43,7 +43,7 @@ func (c *codec) hotGrow(xs []float64) {
 //netpart:hotpath
 func (c *codec) hotClosure() func() float64 {
 	total := 0.0
-	return func() float64 { // want `closure captures "total"`
+	return func() float64 { // want `hot path .*hotClosure reaches an allocation: closure capturing total allocates`
 		return total
 	}
 }
@@ -52,7 +52,7 @@ func (c *codec) hotClosure() func() float64 {
 //
 //netpart:hotpath
 func (c *codec) hotBox() *codec {
-	return &codec{} // want `&composite literal escapes to the heap`
+	return &codec{} // want `hot path .*hotBox reaches an allocation: &composite literal escapes to the heap`
 }
 
 // hotGuarded allocates only inside the two sanctioned guards: no findings.
@@ -129,7 +129,7 @@ func (c *codec) hotFreeListPop(free *[][]float64, n int) []float64 {
 //netpart:hotpath
 func (c *codec) hotUnguardedBranch(n int) []float64 {
 	if n > 8 {
-		return make([]float64, n) // want `make allocates on the hot path`
+		return make([]float64, n) // want `hot path .*hotUnguardedBranch reaches an allocation: make allocates`
 	}
 	return nil
 }

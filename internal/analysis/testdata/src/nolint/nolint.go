@@ -14,7 +14,11 @@ func scoped() time.Time {
 }
 
 func wrongScope() time.Time {
-	return time.Now() //nolint:netpart/hotpath reason=scoped to another analyzer so it must not apply // want `time\.Now reads the wall clock`
+	return time.Now() //nolint:netpart/allocfree reason=scoped to another analyzer so it must not apply // want `time\.Now reads the wall clock`
+}
+
+func unknownScope() time.Time {
+	return time.Now() //nolint:netpart/hotpath reason=scoped to an analyzer the suite does not have // want `suppression scoped to unknown analyzer "hotpath" waives nothing` `time\.Now reads the wall clock`
 }
 
 func noReason() time.Time {

@@ -1,6 +1,6 @@
-// Package poollifetime is the fixture for the sync.Pool accessor-discipline
-// analyzer: direct Get/Put calls belong inside get*/put* accessors, where
-// the box/length/zeroing conventions live. The temporal lifetime rules
+// Package poollifetime is the fixture for poolflow's accessor rule: direct
+// sync.Pool Get/Put calls belong inside get*/put* accessors, where the
+// box/length/zeroing conventions live. The temporal lifetime rules
 // (use-after-put, double-put) are exercised by the poolflow fixture.
 package poollifetime
 

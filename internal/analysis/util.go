@@ -110,3 +110,9 @@ func isMapType(info *types.Info, e ast.Expr) bool {
 	_, ok := t.Underlying().(*types.Map)
 	return ok
 }
+
+// isBuiltin reports whether the identifier resolves to a Go builtin.
+func isBuiltin(info *types.Info, id *ast.Ident) bool {
+	_, ok := info.Uses[id].(*types.Builtin)
+	return ok
+}
